@@ -2,8 +2,10 @@
 
 Commands: preprocess, train, check, sample, synth, export. Exit codes:
 0 ok, 1 check failure, 2 data error, 3 shape error, 4 missing dependency
-file. MPK_THREADS caps worker parallelism (BLAS pools and the patch
-extraction pool).
+file. MPK_THREADS caps only the patch-extraction pool of `preprocess`.
+BLAS threads follow OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, which must be
+set before the process starts: numpy loads its BLAS when `mpkrbm` is
+imported, and later changes to them have no effect.
 """
 
 import argparse
@@ -35,13 +37,6 @@ def max_workers():
         except ValueError:
             pass
     return n
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("MPK_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _load_config(args, required=True):
@@ -334,7 +329,6 @@ COMMANDS = {
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,16 +15,23 @@ visibles. Free energy marginalizes the hiddens analytically:
 F(v) = -sum softplus(drive) over all three families + the visible terms,
 so p(v) is proportional to exp(-F(v)).
 
+The forward pass lives in one place, `_forward`: the patch normalization,
+the projections C'u, the pooled amplitudes s, the unit-circle map x, the
+phase factors q, the three drives and F, as matrix products on the
+flattened C (D, F*L) and Q (F*L, G). The public functions here are views
+of it, and `grad` runs its backward pass from the same intermediates.
+
 All operations are pure functions of (v, params); v may be a single vector
-(D,) or a batch of rows (B, D).
+(D,) or rows with any leading shape (..., D).
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .preprocess import normalize_visible
+from .preprocess import EPS_NORM, normalize_visible
 
 EPS_R = 1e-6
 
@@ -41,17 +48,60 @@ def sigmoid(y):
     return np.where(y >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def _check_visible(v, params):
+def _forward(v, params, with_phase=True, normalize=True):
+    """Every intermediate of F at the rows of v, flattened to (B, D).
+
+    With `normalize` the pooling and phase paths see u = v / max(||v||, eps);
+    without it they see v as given (the drive views take an already
+    normalized patch). `lead` is the caller's leading shape; `_view`
+    restores it on any per-row result.
+    """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != params.C.shape[0]:
-        raise ShapeError(f"visible dim {v.shape[-1]} != model D={params.C.shape[0]}")
-    return v
+    D, F, L = params.C.shape
+    if v.shape[-1] != D:
+        raise ShapeError(f"visible dim {v.shape[-1]} != model D={D}")
+    if not params.alpha > 0:
+        raise ParameterError(f"alpha must be > 0, got {params.alpha}")
+    if with_phase and L != 2:
+        raise ParameterError(f"phase units require subspace dimension L = 2, got L={L}")
+
+    fw = SimpleNamespace(lead=v.shape[:-1], with_phase=with_phase)
+    V = fw.V = v.reshape(-1, D)
+    B = V.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fw.norm = np.linalg.norm(V, axis=1, keepdims=True)
+        fw.nu = np.maximum(fw.norm, EPS_NORM)
+        fw.U = V / fw.nu if normalize else V
+        Y = fw.Y = (fw.U @ params.C.reshape(D, F * L)).reshape(B, F, L)
+        fw.abs_y = np.abs(Y)
+        fw.s = np.sum(fw.abs_y ** params.alpha, axis=-1) ** (1.0 / params.alpha)
+        fw.phi = 0.5 * fw.s @ params.P + params.b_c
+        fw.m = V @ params.W + params.b_m
+        fw.quad = 0.5 * np.sum(V * V, axis=1) - V @ params.b_v
+        fw.f = fw.quad - softplus(fw.phi).sum(axis=1) - softplus(fw.m).sum(axis=1)
+        if with_phase:
+            fw.r = np.sqrt(np.sum(Y * Y, axis=-1) + EPS_R * EPS_R)
+            fw.x = Y / fw.r[..., None]
+            fw.q = fw.x.reshape(B, F * L) @ params.Q.reshape(F * L, -1)
+            fw.psi = 0.5 * (fw.q * fw.q) @ params.R + params.b_k
+            fw.f = fw.f - softplus(fw.psi).sum(axis=1)
+    return fw
 
 
-def projections(v, params):
-    """Per-subspace filter responses C[:,f,l] . v, shape (..., F, L)."""
-    v = _check_visible(v, params)
-    return np.einsum("ifl,...i->...fl", params.C, v)
+def _view(fw, rows):
+    """A per-row result (B, ...) in the caller's leading shape; a scalar
+    for a single-vector F."""
+    return rows.reshape(fw.lead + rows.shape[1:])[()]
+
+
+def _check_finite(fw, caller):
+    """NumericError naming the first non-finite drive or visible term."""
+    terms = [("pooling drive", fw.phi), ("mean drive", fw.m), ("visible term", fw.quad)]
+    if fw.with_phase:
+        terms.append(("phase drive", fw.psi))
+    for name, term in terms:
+        if not np.all(np.isfinite(term)):
+            raise NumericError(f"{caller}: non-finite {name}")
 
 
 def subspace_pool(v, params):
@@ -60,13 +110,8 @@ def subspace_pool(v, params):
     Expects v already normalized by the caller. For alpha=2, L=2 this is
     the quadrature-pair amplitude.
     """
-    if params.alpha <= 0:
-        raise ParameterError(f"alpha must be > 0, got {params.alpha}")
-    return _pool_from_projections(projections(v, params), params.alpha)
-
-
-def _pool_from_projections(y, alpha):
-    return np.power(np.sum(np.abs(y) ** alpha, axis=-1), 1.0 / alpha)
+    fw = _forward(v, params, with_phase=False, normalize=False)
+    return _view(fw, fw.s)
 
 
 @dataclass
@@ -88,35 +133,27 @@ def phase_features(v, params):
     The angle is scale invariant, so v need not be normalized; the
     amplitude regularizer eps_r keeps everything finite at v = 0.
     """
-    if params.C.shape[2] != 2:
-        raise ParameterError("phase features require subspace dimension L = 2")
-    y = projections(v, params)
-    a, b = y[..., 0], y[..., 1]
-    r = np.sqrt(a * a + b * b + EPS_R * EPS_R)
-    theta = np.arctan2(b, a)
-    x = np.stack([a / r, b / r], axis=-1)
-    return PhaseFeatures(a=a, b=b, r=r, theta=theta, x=x)
-
-
-def _phase_factor_projection(x, params):
-    """q_g = sum_{f,l} Q[f,l,g] x[f,l], shape (..., G)."""
-    return np.einsum("flg,...fl->...g", params.Q, x)
+    fw = _forward(v, params, with_phase=True, normalize=False)
+    a, b = _view(fw, fw.Y[..., 0]), _view(fw, fw.Y[..., 1])
+    return PhaseFeatures(a=a, b=b, r=_view(fw, fw.r), theta=np.arctan2(b, a),
+                         x=_view(fw, fw.x))
 
 
 # --- hidden drives: the argument of the sigmoid/softplus for each family ---
 
 def pool_drive(v_normalized, params):
-    s = subspace_pool(v_normalized, params)
-    return 0.5 * s @ params.P + params.b_c
+    fw = _forward(v_normalized, params, with_phase=False, normalize=False)
+    return _view(fw, fw.phi)
 
 
 def mean_drive(v, params):
-    return _check_visible(v, params) @ params.W + params.b_m
+    fw = _forward(v, params, with_phase=False, normalize=False)
+    return _view(fw, fw.m)
 
 
 def phase_drive(v_normalized, params):
-    q = _phase_factor_projection(phase_features(v_normalized, params).x, params)
-    return 0.5 * (q * q) @ params.R + params.b_k
+    fw = _forward(v_normalized, params, with_phase=True, normalize=False)
+    return _view(fw, fw.psi)
 
 
 def _check_hidden(h, n, what):
@@ -151,7 +188,7 @@ def total_energy(v, h_p, h_m, h_k, params, with_phase=True):
     The pooling and phase terms receive the normalized patch, matching
     their definitions; the mean and visible terms use v as given.
     """
-    v = _check_visible(v, params)
+    v = np.asarray(v, dtype=np.float64)
     u = normalize_visible(v)
     total = (
         energy_p(u, h_p, params)
@@ -164,30 +201,15 @@ def total_energy(v, h_p, h_m, h_k, params, with_phase=True):
     return total
 
 
-def free_energy(v, params, with_phase=True, check=True):
+def free_energy(v, params, with_phase=True):
     """-log sum_h exp(-E(v, h)) with all binary hiddens summed out.
 
-    Returns a scalar for a single v or a vector for a batch. With
-    `check`, any non-finite drive raises NumericError naming the term.
+    Returns a scalar for a single v or a vector for a batch. Any
+    non-finite drive raises NumericError naming the term.
     """
-    v = _check_visible(v, params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = normalize_visible(v)
-        phi = pool_drive(u, params)
-        m = mean_drive(v, params)
-        quad = 0.5 * np.sum(v * v, axis=-1) - v @ params.b_v
-        if check:
-            for name, term in (("pooling drive", phi), ("mean drive", m),
-                               ("visible term", quad)):
-                if not np.all(np.isfinite(term)):
-                    raise NumericError(f"free_energy: non-finite {name}")
-        out = -softplus(phi).sum(axis=-1) - softplus(m).sum(axis=-1) + quad
-        if with_phase:
-            psi = phase_drive(u, params)
-            if check and not np.all(np.isfinite(psi)):
-                raise NumericError("free_energy: non-finite phase drive")
-            out = out - softplus(psi).sum(axis=-1)
-    return out
+    fw = _forward(v, params, with_phase)
+    _check_finite(fw, "free_energy")
+    return _view(fw, fw.f)
 
 
 @dataclass
@@ -200,13 +222,11 @@ class HiddenActivations:
 
 
 def hidden_conditionals(v, params, with_phase=True):
-    v = _check_visible(v, params)
-    u = normalize_visible(v)
-    p_hk = sigmoid(phase_drive(u, params)) if with_phase else None
+    fw = _forward(v, params, with_phase)
     return HiddenActivations(
-        p_hp=sigmoid(pool_drive(u, params)),
-        p_hm=sigmoid(mean_drive(v, params)),
-        p_hk=p_hk,
+        p_hp=_view(fw, sigmoid(fw.phi)),
+        p_hm=_view(fw, sigmoid(fw.m)),
+        p_hk=_view(fw, sigmoid(fw.psi)) if with_phase else None,
     )
 
 

@@ -6,21 +6,28 @@ learning. Both are hand-derived chain rules through the sigmoid gates,
 the patch normalization, the pooled subspace norm and the regularized
 unit-circle map, and are locked in by the central-difference harness
 at the bottom of this module.
+
+Neither route has a forward pass of its own: each runs the one forward
+in `energy` (`energy._forward`) and goes backward from its
+intermediates, so F comes with every gradient at no extra cost.
+`free_energy_and_grad_v` returns both for the sampler, and
+`grad_free_energy_params` carries the per-row F of its batch.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EPS_R, free_energy, sigmoid
-from .errors import DataError, ParameterError
+from . import energy
+from .errors import DataError
 from .params import LEARNABLE_TENSORS, ModelShape, init_params
 from .preprocess import EPS_NORM
 
 
 @dataclass
 class ParamGradient:
-    """One gradient tensor per learnable ModelParams field."""
+    """One gradient tensor per learnable ModelParams field, plus the
+    per-row free energy of the batch (`f_rows`, not a gradient)."""
 
     C: np.ndarray
     P: np.ndarray
@@ -31,6 +38,7 @@ class ParamGradient:
     b_m: np.ndarray
     b_k: np.ndarray
     b_v: np.ndarray
+    f_rows: np.ndarray = None
 
     def as_dict(self):
         return {name: getattr(self, name) for name in LEARNABLE_TENSORS}
@@ -39,110 +47,86 @@ class ParamGradient:
         return {name: float(np.linalg.norm(t)) for name, t in self.as_dict().items()}
 
 
-def _forward(v, params, with_phase):
-    """Shared intermediates for both gradient routes, batched over rows."""
-    V = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    norm = np.linalg.norm(V, axis=1, keepdims=True)
-    nu = np.maximum(norm, EPS_NORM)
-    U = V / nu
-
-    Y = np.einsum("ifl,bi->bfl", params.C, U)
-    abs_y = np.abs(Y)
-    s_pow = np.sum(abs_y ** params.alpha, axis=-1)           # (B, F)
-    s = s_pow ** (1.0 / params.alpha)
-    phi = 0.5 * s @ params.P + params.b_c
-    m = V @ params.W + params.b_m
-
-    out = {
-        "V": V, "U": U, "norm": norm, "nu": nu, "Y": Y, "s": s,
-        "sig_p": sigmoid(phi), "sig_m": sigmoid(m),
-    }
+def _backward(fw, params):
+    """Add the hidden gates and dF/dy (B, F, L), the derivative of F at
+    the subspace projections, to a forward pass."""
+    B, F, L = fw.Y.shape
+    fw.sig_p, fw.sig_m = energy.sigmoid(fw.phi), energy.sigmoid(fw.m)
+    g_s = -0.5 * fw.sig_p @ params.P.T                       # (B, F)
     # d s_f / d y_fl = (|y|/s)^(alpha-1) * sign(y); zero subspaces contribute 0
-    safe_s = np.where(s > 0, s, 1.0)[..., None]
-    out["dsdy"] = np.where(
-        s[..., None] > 0,
-        (abs_y / safe_s) ** (params.alpha - 1.0) * np.sign(Y),
-        0.0,
-    )
-    if with_phase:
-        if params.C.shape[2] != 2:
-            raise ParameterError("phase gradients require subspace dimension L = 2")
-        a, b = Y[..., 0], Y[..., 1]
-        r = np.sqrt(a * a + b * b + EPS_R * EPS_R)
-        x = np.stack([a / r, b / r], axis=-1)                # (B, F, 2)
-        q = np.einsum("flg,bfl->bg", params.Q, x)
-        psi = 0.5 * (q * q) @ params.R + params.b_k
-        out.update({"a": a, "b": b, "r": r, "x": x, "q": q, "sig_k": sigmoid(psi)})
-    return out
+    s = fw.s[..., None]
+    safe_s = np.where(s > 0, s, 1.0)
+    dsdy = np.where(s > 0, (fw.abs_y / safe_s) ** (params.alpha - 1.0) * np.sign(fw.Y), 0.0)
+    fw.dy = g_s[..., None] * dsdy
+    if fw.with_phase:
+        fw.sig_k = energy.sigmoid(fw.psi)
+        fw.g_q = -(fw.sig_k @ params.R.T) * fw.q             # (B, G)
+        g_x = (fw.g_q @ params.Q.reshape(F * L, -1).T).reshape(B, F, L)
+        # x = y / r with r^2 = |y|^2 + eps^2, so dx/dy = (I - x x') / r
+        fw.dy += (g_x - fw.x * np.sum(g_x * fw.x, axis=-1, keepdims=True)) / fw.r[..., None]
+    return fw
 
 
-def _dF_dy(fw, params, with_phase):
-    """Derivative of F w.r.t. the subspace projections y, shape (B, F, L)."""
-    g_s = -0.5 * fw["sig_p"] @ params.P.T                    # (B, F)
-    dy = g_s[..., None] * fw["dsdy"]
-    if with_phase:
-        g_q = -(fw["sig_k"] @ params.R.T) * fw["q"]          # (B, G)
-        g_x = np.einsum("flg,bg->bfl", params.Q, g_q)        # (B, F, 2)
-        a, b, r = fw["a"], fw["b"], fw["r"]
-        r3 = r ** 3
-        g_a = g_x[..., 0] * (b * b + EPS_R * EPS_R) / r3 - g_x[..., 1] * a * b / r3
-        g_b = -g_x[..., 0] * a * b / r3 + g_x[..., 1] * (a * a + EPS_R * EPS_R) / r3
-        dy = dy + np.stack([g_a, g_b], axis=-1)
-    return dy
-
-
-def grad_free_energy_v(v, params, with_phase=True):
-    """dF/dv, same shape as v (single vector or batch of rows).
+def free_energy_and_grad_v(v, params, with_phase=True):
+    """(F, dF/dv) from one forward pass: F as `energy.free_energy` gives
+    it, dF/dv with the shape of v.
 
     Finite for any finite v: the amplitude regularizer and the
     constant-scale treatment below the normalization floor keep every
-    path differentiable almost everywhere.
+    path differentiable almost everywhere. Non-finite values are returned,
+    not raised: HMC counts them as divergences.
     """
-    v = np.asarray(v, dtype=np.float64)
-    fw = _forward(v, params, with_phase)
-    dy = _dF_dy(fw, params, with_phase)
-    g_u = np.einsum("bfl,ifl->bi", dy, params.C)
+    fw = _backward(energy._forward(v, params, with_phase), params)
+    D, F, L = params.C.shape
+    g_u = fw.dy.reshape(-1, F * L) @ params.C.reshape(D, F * L).T
 
     # Jacobian of u = v / max(||v||, eps): tangential projection above the
     # floor, plain 1/eps scaling below it.
-    U, nu = fw["U"], fw["nu"]
-    above = fw["norm"] >= EPS_NORM
-    tangential = (g_u - U * np.sum(g_u * U, axis=1, keepdims=True)) / nu
-    g_v = np.where(above, tangential, g_u / EPS_NORM)
+    U = fw.U
+    tangential = g_u - U * np.sum(g_u * U, axis=1, keepdims=True)
+    g_v = np.where(fw.norm >= EPS_NORM, tangential, g_u) / fw.nu
+    g_v += fw.V - params.b_v - fw.sig_m @ params.W.T
+    return energy._view(fw, fw.f), energy._view(fw, g_v)
 
-    g_v = g_v + fw["V"] - params.b_v - fw["sig_m"] @ params.W.T
-    return g_v if v.ndim > 1 else g_v[0]
+
+def grad_free_energy_v(v, params, with_phase=True):
+    """dF/dv, same shape as v (single vector or batch of rows)."""
+    return free_energy_and_grad_v(v, params, with_phase=with_phase)[1]
 
 
 def grad_free_energy_params(v_batch, params, with_phase=True):
-    """Mean over batch rows of dF/dTheta for every learnable tensor.
+    """Mean over batch rows of dF/dTheta for every learnable tensor, with
+    the per-row F of the batch in `f_rows`.
 
     Tensors of the phase family come back zero when `with_phase` is off.
+    A non-finite drive or visible term raises NumericError, as in
+    `energy.free_energy`.
     """
     V = np.atleast_2d(np.asarray(v_batch, dtype=np.float64))
     if V.shape[0] == 0:
         raise DataError("empty batch")
     B = V.shape[0]
-    fw = _forward(V, params, with_phase)
-    dy = _dF_dy(fw, params, with_phase)
+    D, F, L = params.C.shape
+    fw = energy._forward(V, params, with_phase)
+    energy._check_finite(fw, "grad_free_energy_params")
+    _backward(fw, params)
 
     g = ParamGradient(
-        C=np.einsum("bi,bfl->ifl", fw["U"], dy) / B,
-        P=-0.5 * fw["s"].T @ fw["sig_p"] / B,
-        W=-V.T @ fw["sig_m"] / B,
+        C=(fw.U.T @ fw.dy.reshape(B, F * L)).reshape(D, F, L) / B,
+        P=-0.5 * fw.s.T @ fw.sig_p / B,
+        W=-V.T @ fw.sig_m / B,
         Q=np.zeros_like(params.Q),
         R=np.zeros_like(params.R),
-        b_c=-fw["sig_p"].mean(axis=0),
-        b_m=-fw["sig_m"].mean(axis=0),
+        b_c=-fw.sig_p.mean(axis=0),
+        b_m=-fw.sig_m.mean(axis=0),
         b_k=np.zeros_like(params.b_k),
         b_v=-V.mean(axis=0),
+        f_rows=fw.f,
     )
     if with_phase:
-        q, sig_k = fw["q"], fw["sig_k"]
-        g_q = -(sig_k @ params.R.T) * q
-        g.Q = np.einsum("bfl,bg->flg", fw["x"], g_q) / B
-        g.R = -0.5 * (q * q).T @ sig_k / B
-        g.b_k = -sig_k.mean(axis=0)
+        g.Q = (fw.x.reshape(B, F * L).T @ fw.g_q).reshape(params.Q.shape) / B
+        g.R = -0.5 * (fw.q * fw.q).T @ fw.sig_k / B
+        g.b_k = -fw.sig_k.mean(axis=0)
     return g
 
 
@@ -156,8 +140,8 @@ def finite_diff_v(v, params, step=1e-5, with_phase=True):
         vp, vm = v.copy(), v.copy()
         vp[i] += step
         vm[i] -= step
-        out[i] = (free_energy(vp, params, with_phase=with_phase)
-                  - free_energy(vm, params, with_phase=with_phase)) / (2 * step)
+        out[i] = (energy.free_energy(vp, params, with_phase=with_phase)
+                  - energy.free_energy(vm, params, with_phase=with_phase)) / (2 * step)
     return out
 
 
@@ -172,7 +156,7 @@ def finite_diff_param(v_batch, params, name, step=1e-5, with_phase=True):
             p = params.copy()
             t = getattr(p, name).reshape(-1)
             t[idx] += sign * step
-            fe = np.mean(free_energy(V, p, with_phase=with_phase))
+            fe = np.mean(energy.free_energy(V, p, with_phase=with_phase))
             flat[idx] += sign * fe / (2 * step)
     return out
 
@@ -223,11 +207,10 @@ def random_tiny_params(seed, shape=None, alpha=2.0, scale=0.8):
 
 def check_gradients(shape=None, seed=0, tolerance=1e-5, n_vectors=10,
                     batch_size=3, step=1e-5, alpha=2.0,
-                    grad_v_fn=None, grad_params_fn=None):
+                    grad_v_fn=None):
     """Compare both analytic gradient routes against central differences
     on a random tiny model. Failure is a report outcome, not an error."""
     v_fn = grad_v_fn if grad_v_fn is not None else grad_free_energy_v
-    p_fn = grad_params_fn if grad_params_fn is not None else grad_free_energy_params
 
     params = random_tiny_params(seed, shape=shape, alpha=alpha)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFD]))
@@ -241,7 +224,7 @@ def check_gradients(shape=None, seed=0, tolerance=1e-5, n_vectors=10,
     report.max_rel_err["v"] = err_v
 
     batch = rng.standard_normal((batch_size, D))
-    analytic = p_fn(batch, params)
+    analytic = grad_free_energy_params(batch, params)
     for name in LEARNABLE_TENSORS:
         fd = finite_diff_param(batch, params, name, step=step)
         report.max_rel_err[name] = _rel_err(getattr(analytic, name), fd)

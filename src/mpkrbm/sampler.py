@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import free_energy
-from .grad import grad_free_energy_v
+from .grad import free_energy_and_grad_v
 
 STEP_FLOOR = 1e-12
 
@@ -87,17 +86,22 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
     eps = config.step_size if step_size is None else step_size
     stats = HmcStats()
 
+    # F at every point where leapfrog takes the gradient; its first
+    # evaluation is at the start point and its last at the end point
+    energies = []
+
     def grad_fn(x):
-        return grad_free_energy_v(x, params, with_phase=with_phase)
+        f, g = free_energy_and_grad_v(x, params, with_phase=with_phase)
+        energies.append(f)
+        return g
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_simulations):
             p0 = rng.standard_normal((B, D))
-            h0 = free_energy(v, params, with_phase=with_phase, check=False) \
-                + 0.5 * np.sum(p0 * p0, axis=1)
+            energies.clear()
             v1, p1 = leapfrog(v, p0, grad_fn, eps, config.n_leapfrog)
-            h1 = free_energy(v1, params, with_phase=with_phase, check=False) \
-                + 0.5 * np.sum(p1 * p1, axis=1)
+            h0 = energies[0] + 0.5 * np.sum(p0 * p0, axis=1)
+            h1 = energies[-1] + 0.5 * np.sum(p1 * p1, axis=1)
             delta_h = h1 - h0
 
             finite = np.isfinite(delta_h)

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import free_energy
 from .errors import DataError, NumericError
 from .grad import grad_free_energy_params
 from .params import LEARNABLE_TENSORS, banded_identity, project_constraints, save_checkpoint
@@ -149,8 +148,8 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     metrics = StepMetrics(
         iteration=iteration,
         stage=stage,
-        f_data=float(np.mean(free_energy(batch, params, with_phase=with_phase))),
-        f_model=float(np.mean(free_energy(model_batch, params, with_phase=with_phase))),
+        f_data=float(np.mean(g_data.f_rows)),
+        f_model=float(np.mean(g_model.f_rows)),
         rejection_rate=stats.rejection_rate,
         step_size=stats.current_step_size,
         grad_norms=norms,

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from mpkrbm.errors import DataError
+from mpkrbm.energy import free_energy
+from mpkrbm.errors import DataError, NumericError, ParameterError
 from mpkrbm.grad import (
     TINY_SHAPE,
     check_gradients,
     finite_diff_param,
     finite_diff_v,
+    free_energy_and_grad_v,
     grad_free_energy_params,
     grad_free_energy_v,
     random_tiny_params,
 )
 from mpkrbm.params import LEARNABLE_TENSORS, ModelShape, init_params
+from mpkrbm.sampler import HmcConfig, hmc_chain
 
 
 def rel_err(a, b):
@@ -109,6 +112,14 @@ def test_grad_empty_batch_rejected():
         grad_free_energy_params(np.zeros((0, 4)), params)
 
 
+def test_grad_params_rejects_non_finite_rows():
+    params = random_tiny_params(24)
+    batch = np.random.default_rng(25).standard_normal((3, 4))
+    batch[1, 2] = np.nan
+    with pytest.raises(NumericError):
+        grad_free_energy_params(batch, params)
+
+
 def test_grad_without_phase_zeroes_phase_tensors():
     params = random_tiny_params(17)
     batch = np.random.default_rng(18).standard_normal((3, 4))
@@ -152,3 +163,30 @@ def test_grad_v_continuous_near_zero():
         v = np.full(4, scale)
         g = grad_free_energy_v(v, params)
         assert np.all(np.isfinite(g)), scale
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+@pytest.mark.parametrize("with_phase", [True, False])
+def test_free_energy_and_grad_v_match_free_energy_and_grad_v(alpha, with_phase):
+    params = random_tiny_params(20, alpha=alpha)
+    rng = np.random.default_rng(21)
+    for v in (rng.standard_normal(4), rng.standard_normal((5, 4))):
+        f, g = free_energy_and_grad_v(v, params, with_phase=with_phase)
+        expected_f = free_energy(v, params, with_phase=with_phase)
+        expected_g = grad_free_energy_v(v, params, with_phase=with_phase)
+        assert np.shape(f) == np.shape(expected_f) and g.shape == v.shape
+        assert rel_err(f, expected_f) <= 1e-12
+        assert rel_err(g, expected_g) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_gradient_paths_reject_invalid_alpha(alpha):
+    params = random_tiny_params(22)
+    params.alpha = alpha
+    V = np.random.default_rng(23).standard_normal((3, 4))
+    with pytest.raises(ParameterError):
+        grad_free_energy_v(V, params)
+    with pytest.raises(ParameterError):
+        grad_free_energy_params(V, params)
+    with pytest.raises(ParameterError):
+        hmc_chain(V, params, HmcConfig(seed=0), 1)

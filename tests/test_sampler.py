@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from mpkrbm import energy
 from mpkrbm.energy import free_energy
 from mpkrbm.grad import grad_free_energy_v, random_tiny_params
 from mpkrbm.params import ModelParams
@@ -40,6 +41,20 @@ def test_leapfrog_reversibility():
         v2, p2 = leapfrog(v1, -p1, grad_fn, 0.01, 20)
         assert np.max(np.abs(v2 - v0)) < 1e-8
         assert np.max(np.abs(-p2 - p0)) < 1e-8
+
+
+def test_one_simulation_runs_one_forward_per_gradient(count_calls):
+    # leapfrog's first gradient is at the start point and its last at the
+    # end point, so the Hamiltonian needs no free_energy call of its own
+    params = random_tiny_params(2)
+    v0 = np.random.default_rng(3).standard_normal((5, 4))
+    forwards = count_calls(energy, "_forward")
+    f_calls = count_calls(energy, "free_energy")
+    for k in (1, 3, 20):
+        forwards["n"] = 0
+        hmc_chain(v0, params, HmcConfig(n_leapfrog=k, seed=4), 1)
+        assert forwards["n"] == k + 1
+    assert f_calls["n"] == 0
 
 
 def test_small_step_limit_accepts():

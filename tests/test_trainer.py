@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mpkrbm.errors import DataError
+from mpkrbm import energy
+from mpkrbm.energy import free_energy
+from mpkrbm.errors import DataError, NumericError
 from mpkrbm.grad import grad_free_energy_params, random_tiny_params
 from mpkrbm.params import (
     LEARNABLE_TENSORS,
@@ -102,6 +104,40 @@ def test_update_equals_lr_times_gradient_difference():
     for name in LEARNABLE_TENSORS:
         assert np.allclose(getattr(out, name), getattr(expected_params, name),
                            atol=1e-12), name
+
+
+@pytest.mark.parametrize("with_phase", [True, False])
+def test_metrics_are_the_free_energies_of_both_batches(with_phase):
+    params, batch = small_setup(13)
+    before = params.copy()
+    offset = 0.3
+    _, _, metrics = cd1_step(batch, params, TrainerConfig(batch_size=6, seed=0), HmcConfig(),
+                             0.01, np.random.default_rng(4), with_phase=with_phase,
+                             negative_sampler=shift_sampler(offset))
+    f_data = np.mean(free_energy(batch, before, with_phase=with_phase))
+    f_model = np.mean(free_energy(batch + offset, before, with_phase=with_phase))
+    assert abs(metrics.f_data - f_data) <= 1e-12
+    assert abs(metrics.f_model - f_model) <= 1e-12
+
+
+def test_cd1_step_takes_its_metrics_from_the_gradient_passes(count_calls):
+    params, batch = small_setup(14)
+    forwards = count_calls(energy, "_forward")
+    f_calls = count_calls(energy, "free_energy")
+    cd1_step(batch, params, TrainerConfig(batch_size=6, seed=0), HmcConfig(n_leapfrog=20),
+             0.01, np.random.default_rng(5))
+    assert f_calls["n"] == 0
+    # 21 gradient evaluations in HMC and two parameter-gradient passes
+    assert forwards["n"] == 23
+
+
+def test_non_finite_model_batch_raises_with_nothing_trainable():
+    # no update to check, so the drive check of the gradient pass must catch it
+    params, batch = small_setup(15)
+    with pytest.raises(NumericError):
+        cd1_step(batch, params, TrainerConfig(batch_size=6, seed=0), HmcConfig(), 0.01,
+                 np.random.default_rng(6), trainable=frozenset(),
+                 negative_sampler=shift_sampler(np.nan))
 
 
 def test_constraints_hold_after_real_steps():
