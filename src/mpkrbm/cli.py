@@ -20,7 +20,7 @@ import numpy as np
 from . import container, pnm, synth, viz
 from .config import RunConfig, load_run_config
 from .energy import free_energy, total_energy
-from .errors import DataError, MissingFileError, MpkError, ShapeError
+from .errors import DataError, MissingFileError, MpkError, ParameterError, ShapeError
 from .grad import check_gradients, random_tiny_params
 from .params import init_params, load_checkpoint
 from .preprocess import WhiteningTransform, extract_patches, fit_whitening
@@ -29,14 +29,18 @@ from .trainer import default_stages, train
 
 
 def max_workers():
+    """Patch-extraction pool size: the CPU count, capped by MPK_THREADS."""
     cap = os.environ.get("MPK_THREADS")
     n = os.cpu_count() or 1
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            pass
-    return n
+    if not cap:
+        return n
+    try:
+        value = int(cap)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ParameterError(f"MPK_THREADS must be an integer >= 1, got {cap!r}")
+    return min(n, value)
 
 
 def _load_config(args, required=True):
@@ -64,10 +68,13 @@ def cmd_preprocess(args):
 
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:
         chunks = list(pool.map(pull, enumerate(images)))
+    area = config.data.patch_size ** 2
+    by_channels = {chunk.shape[1] // area: path.name for chunk, path in zip(chunks, images)}
+    if len(by_channels) > 1:
+        raise DataError(f"images in {data_dir} mix channel counts: " + ", ".join(
+            f"{name} has {ch}" for ch, name in sorted(by_channels.items())))
+    (channels,) = by_channels
     patches = np.concatenate(chunks, axis=0)[:config.data.n_patches]
-
-    first = pnm.read_pnm(images[0])
-    channels = 3 if first.ndim == 3 else 1
     whitening = fit_whitening(patches, config.data.variance_fraction,
                               patch_size=config.data.patch_size, channels=channels)
 
@@ -83,13 +90,13 @@ def cmd_preprocess(args):
     return 0
 
 
-def _load_patch_matrix(config, whiten=True):
+def _load_patch_matrix(config):
     patches_path = config.paths.patches or str(Path(config.paths.out_dir) / "patches.mpk")
     if not Path(patches_path).exists():
         raise MissingFileError(f"patch file not found: {patches_path}")
     patches = container.read_container(patches_path)["patches"]
     whitening_path = config.paths.whitening or str(Path(config.paths.out_dir) / "whitening.mpk")
-    if whiten and Path(whitening_path).exists():
+    if Path(whitening_path).exists():
         whitening = WhiteningTransform.load(whitening_path)
         patches = whitening.apply(patches)
     return patches
@@ -273,17 +280,9 @@ def cmd_export(args):
             kind = {"C0": "component0", "C1": "component1"}.get(item, item)
             img = viz.mosaic(viz.subspace_tiles(params, whitening, kind=kind))
         elif item == "W":
-            tiles = [
-                viz.as_tile(viz.filters_to_pixel_space(params.W[:, j], whitening)[0],
-                             whitening.patch_size, whitening.channels)
-                for j in range(min(params.W.shape[1], max_cols ** 2))
-            ]
-            img = viz.mosaic(tiles)
+            img = viz.mosaic(viz.pixel_tiles(params.W[:, :max_cols ** 2].T, whitening))
         elif item in ("P", "Q", "R"):
-            matrix = getattr(params, item)
-            if item == "Q":
-                matrix = params.Q.reshape(-1, params.Q.shape[2])
-            rows = viz.group_tiles(params, whitening, matrix, item, max_columns=max_cols)
+            rows = viz.group_tiles(params, whitening, item, max_columns=max_cols)
             img = viz.rows_to_mosaic(rows)
         else:
             raise DataError(f"unknown export target {item!r}")

@@ -7,8 +7,6 @@ effective configuration.
 
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .errors import ConfigError
 from .params import ModelShape
 from .sampler import HmcConfig
@@ -112,9 +110,7 @@ class RunConfig:
 
 def _coerce(raw, default, where):
     try:
-        if isinstance(default, bool):
-            raise ConfigError(f"{where}: boolean keys are not used")
-        if isinstance(default, int) and not isinstance(default, bool):
+        if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)

@@ -19,7 +19,10 @@ The forward pass lives in one place, `_forward`: the patch normalization,
 the projections C'u, the pooled amplitudes s, the unit-circle map x, the
 phase factors q, the three drives and F, as matrix products on the
 flattened C (D, F*L) and Q (F*L, G). The public functions here are views
-of it, and `grad` runs its backward pass from the same intermediates.
+of it: `free_energy`, `hidden_conditionals` and `total_energy` on the raw
+patch; `subspace_pool`, `pool_drive`, `energy_p`, `energy_k` and
+`phase_features` on a patch the caller has normalized; `energy_m` on the
+raw patch. `grad` runs its backward pass from the same intermediates.
 
 All operations are pure functions of (v, params); v may be a single vector
 (D,) or rows with any leading shape (..., D).
@@ -31,7 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .preprocess import EPS_NORM, normalize_visible
+from .preprocess import EPS_NORM
 
 EPS_R = 1e-6
 
@@ -139,21 +142,11 @@ def phase_features(v, params):
                          x=_view(fw, fw.x))
 
 
-# --- hidden drives: the argument of the sigmoid/softplus for each family ---
-
 def pool_drive(v_normalized, params):
+    """Pooling-unit drive, the argument of their sigmoid/softplus, at an
+    already normalized patch."""
     fw = _forward(v_normalized, params, with_phase=False, normalize=False)
     return _view(fw, fw.phi)
-
-
-def mean_drive(v, params):
-    fw = _forward(v, params, with_phase=False, normalize=False)
-    return _view(fw, fw.m)
-
-
-def phase_drive(v_normalized, params):
-    fw = _forward(v_normalized, params, with_phase=True, normalize=False)
-    return _view(fw, fw.psi)
 
 
 def _check_hidden(h, n, what):
@@ -173,31 +166,29 @@ def energy_p(v, h_p, params):
 def energy_m(v, h_m, params):
     """Mean-unit energy on the raw (unnormalized) patch."""
     h_m = _check_hidden(h_m, params.W.shape[1], "h_m")
-    return -h_m @ mean_drive(v, params)
+    fw = _forward(v, params, with_phase=False, normalize=False)
+    return -h_m @ _view(fw, fw.m)
 
 
 def energy_k(v, h_k, params):
     """Phase-coupling energy; v should be normalized by the caller."""
     h_k = _check_hidden(h_k, params.R.shape[1], "h_k")
-    return -h_k @ phase_drive(v, params)
+    fw = _forward(v, params, with_phase=True, normalize=False)
+    return -h_k @ _view(fw, fw.psi)
 
 
 def total_energy(v, h_p, h_m, h_k, params, with_phase=True):
-    """E_p + E_m + E_k + 1/2 ||v||^2 - b_v . v.
+    """E_p + E_m + E_k + 1/2 ||v||^2 - b_v . v for a single patch v.
 
-    The pooling and phase terms receive the normalized patch, matching
+    The pooling and phase terms see the normalized patch, matching
     their definitions; the mean and visible terms use v as given.
     """
-    v = np.asarray(v, dtype=np.float64)
-    u = normalize_visible(v)
-    total = (
-        energy_p(u, h_p, params)
-        + energy_m(v, h_m, params)
-        + 0.5 * np.sum(v * v)
-        - params.b_v @ v
-    )
+    h_p = _check_hidden(h_p, params.P.shape[1], "h_p")
+    h_m = _check_hidden(h_m, params.W.shape[1], "h_m")
+    fw = _forward(v, params, with_phase)
+    total = -h_p @ _view(fw, fw.phi) - h_m @ _view(fw, fw.m) + _view(fw, fw.quad)
     if with_phase:
-        total = total + energy_k(u, h_k, params)
+        total = total - _check_hidden(h_k, params.R.shape[1], "h_k") @ _view(fw, fw.psi)
     return total
 
 

@@ -34,7 +34,7 @@ class ShapeError(MpkError):
     exit_code = 3
 
 
-class ParameterError(MpkError):
+class ParameterError(MpkError, ValueError):
     """Invalid hyperparameter value or unsupported configuration."""
 
     exit_code = 3

@@ -40,12 +40,6 @@ class ParamGradient:
     b_v: np.ndarray
     f_rows: np.ndarray = None
 
-    def as_dict(self):
-        return {name: getattr(self, name) for name in LEARNABLE_TENSORS}
-
-    def norms(self):
-        return {name: float(np.linalg.norm(t)) for name, t in self.as_dict().items()}
-
 
 def _backward(fw, params):
     """Add the hidden gates and dF/dy (B, F, L), the derivative of F at

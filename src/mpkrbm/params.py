@@ -12,12 +12,12 @@ The model family is parameterized by
     b_k  (T,)       phase hidden biases
     b_v  (D,)       visible biases
 
-plus the pooling exponent alpha and the subspace dimension L. Everything is
-float64; ModelParams is treated as an immutable value between updates.
+plus the pooling exponent alpha; L is C.shape[2]. Everything is float64;
+ModelParams is treated as an immutable value between updates.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,10 @@ class ModelParams:
     b_k: np.ndarray
     b_v: np.ndarray
     alpha: float = 2.0
-    subspace_dim: int = field(default=2)
+
+    @property
+    def subspace_dim(self):
+        return self.C.shape[2]
 
     @property
     def shape(self):
@@ -73,12 +76,7 @@ class ModelParams:
         )
 
     def copy(self):
-        return ModelParams(
-            C=self.C.copy(), P=self.P.copy(), W=self.W.copy(), Q=self.Q.copy(),
-            R=self.R.copy(), b_c=self.b_c.copy(), b_m=self.b_m.copy(),
-            b_k=self.b_k.copy(), b_v=self.b_v.copy(),
-            alpha=self.alpha, subspace_dim=self.subspace_dim,
-        )
+        return replace(self, **{n: t.copy() for n, t in self.tensors().items()})
 
     def tensors(self):
         return {name: getattr(self, name) for name in LEARNABLE_TENSORS}
@@ -97,6 +95,16 @@ def banded_identity(rows, cols, sign=1.0):
     return out / norms
 
 
+# sign of the banded pattern that P (pooling, entries <= 0) and R (phase
+# coupling) start from, and are reset to by a training stage
+BANDED_SIGNS = {"P": -1.0, "R": 1.0}
+
+
+def banded_pattern(name, shape):
+    """The banded identity pattern of tensor `name` ("P" or "R")."""
+    return banded_identity(*shape, sign=BANDED_SIGNS[name])
+
+
 def init_params(shape, seed, alpha=2.0):
     """Fresh parameters: unit-norm random C, small random W and Q, banded
     negative identity P, banded identity R, biases (2, -2, 0, 0).
@@ -113,8 +121,8 @@ def init_params(shape, seed, alpha=2.0):
     C /= np.linalg.norm(C, axis=0, keepdims=True)
     W = rng.standard_normal((D, M)) * np.sqrt(0.05)
     Q = rng.standard_normal((F, L, G)) * np.sqrt(0.1)
-    P = banded_identity(F, N, sign=-1.0)
-    R = banded_identity(G, T, sign=1.0)
+    P = banded_pattern("P", (F, N))
+    R = banded_pattern("R", (G, T))
 
     return ModelParams(
         C=C, P=P, W=W, Q=Q, R=R,
@@ -123,7 +131,6 @@ def init_params(shape, seed, alpha=2.0):
         b_k=np.zeros(T),
         b_v=np.zeros(D),
         alpha=float(alpha),
-        subspace_dim=L,
     )
 
 
@@ -177,9 +184,8 @@ def load_checkpoint(path):
     params = ModelParams(
         **{name: tensors[name] for name in LEARNABLE_TENSORS},
         alpha=float(tensors["alpha"]),
-        subspace_dim=int(tensors["L"]),
     )
-    _check_consistent(params, path)
+    _check_consistent(params, path, int(tensors["L"]))
     optimizer_state = {
         name[len("opt."):]: float(value)
         for name, value in tensors.items()
@@ -188,7 +194,7 @@ def load_checkpoint(path):
     return params, optimizer_state
 
 
-def _check_consistent(params, path):
+def _check_consistent(params, path, header_L):
     if params.C.ndim != 3 or params.Q.ndim != 3:
         raise ShapeError(f"{path}: C and Q must be rank 3")
     D, F, L = params.C.shape
@@ -205,5 +211,5 @@ def _check_consistent(params, path):
         actual = getattr(params, name).shape
         if actual != shape:
             raise ShapeError(f"{path}: tensor {name} has shape {actual}, expected {shape}")
-    if L != params.subspace_dim:
-        raise ShapeError(f"{path}: header L={params.subspace_dim} but C has L={L}")
+    if L != header_L:
+        raise ShapeError(f"{path}: header L={header_L} but C has L={L}")

@@ -22,7 +22,8 @@ def extract_patches(image, patch_size, count, seed):
     """Extract `count` square patches at uniformly random valid offsets.
 
     `image` is (H, W) or (H, W, 3); each returned row is the C-order
-    flattening of one patch_size x patch_size x channels window.
+    flattening of one patch_size x patch_size x channels window. The rows
+    are one gather over the view of every window of the image.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 2:
@@ -32,15 +33,13 @@ def extract_patches(image, patch_size, count, seed):
     h, w, ch = img.shape
     if h < patch_size or w < patch_size:
         raise ShapeError(f"image {h}x{w} smaller than patch size {patch_size}")
-    dim = patch_size * patch_size * ch
-    out = np.empty((count, dim))
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, h - patch_size + 1, size=count)
     cols = rng.integers(0, w - patch_size + 1, size=count)
-    for i in range(count):
-        window = img[rows[i]:rows[i] + patch_size, cols[i]:cols[i] + patch_size, :]
-        out[i] = window.reshape(-1)
-    return out
+    # windows[r, c] is the (patch_size, patch_size, ch) window at offset (r, c)
+    windows = np.lib.stride_tricks.sliding_window_view(img, (patch_size, patch_size), axis=(0, 1))
+    windows = windows.transpose(0, 1, 3, 4, 2)
+    return windows[rows, cols].reshape(count, patch_size * patch_size * ch)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError
 from .grad import free_energy_and_grad_v
 
 STEP_FLOOR = 1e-12
@@ -27,11 +28,11 @@ class HmcConfig:
 
     def validate(self):
         if self.n_leapfrog < 1:
-            raise ValueError("n_leapfrog must be >= 1")
+            raise ParameterError("n_leapfrog must be >= 1")
         if not 0.0 < self.target_rejection < 1.0:
-            raise ValueError("target_rejection must be in (0, 1)")
+            raise ParameterError("target_rejection must be in (0, 1)")
         if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
+            raise ParameterError("step_size must be > 0")
 
 
 @dataclass

@@ -6,12 +6,13 @@ that brings parameter groups online sequentially.
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, ParameterError
 from .grad import grad_free_energy_params
-from .params import LEARNABLE_TENSORS, banded_identity, project_constraints, save_checkpoint
+from .params import LEARNABLE_TENSORS, banded_pattern, project_constraints, save_checkpoint
 from .sampler import HmcConfig, hmc_chain
 
 ALL_TENSORS = frozenset(LEARNABLE_TENSORS)
@@ -39,9 +40,9 @@ class TrainerConfig:
     def validate(self):
         for name in LEARNABLE_TENSORS:
             if self.lr_for(name) < 0:
-                raise ValueError(f"negative learning rate for {name}")
+                raise ParameterError(f"negative learning rate for {name}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ParameterError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,13 @@ class StageSpec:
     overrides: tuple = ()
 
 
-def default_stages(stage_iterations=(10000, 30000, 20000, 20000, 40000)):
+def default_stages(stage_iterations=TrainerConfig.stage_iterations):
     """Five-stage schedule: subspace model with fixed pooling, full
     subspace model, phase projections with fixed banded coupling,
     coupling weights, then everything jointly."""
     it = list(stage_iterations)
     if len(it) != 5:
-        raise ValueError(f"expected 5 stage iteration counts, got {len(it)}")
+        raise ParameterError(f"expected 5 stage iteration counts, got {len(it)}")
     base = frozenset({"C", "W", "b_c", "b_m", "b_v"})
     return [
         StageSpec("subspace-fixed-pool", it[0], base, False, overrides=("P",)),
@@ -75,15 +76,8 @@ def default_stages(stage_iterations=(10000, 30000, 20000, 20000, 40000)):
 
 def apply_stage_overrides(params, stage):
     """Reset the named tensors to their banded identity pattern."""
-    updates = {}
-    for name in stage.overrides:
-        if name == "P":
-            updates["P"] = banded_identity(*params.P.shape, sign=-1.0)
-        elif name == "R":
-            updates["R"] = banded_identity(*params.R.shape, sign=1.0)
-        else:
-            raise ValueError(f"no override rule for tensor {name}")
-    return replace(params, **updates) if updates else params
+    return replace(params, **{name: banded_pattern(name, getattr(params, name).shape)
+                              for name in stage.overrides})
 
 
 @dataclass
@@ -157,6 +151,15 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     return new_params, stats.current_step_size, metrics
 
 
+@lru_cache(maxsize=4)
+def _epoch_permutation(seed, n, epoch):
+    """Row order of one pass over n patches (read-only: the cache shares it)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E4F, epoch]))
+    perm = rng.permutation(n)
+    perm.flags.writeable = False
+    return perm
+
+
 class PatchCycler:
     """Deterministic minibatch stream: one seeded permutation per pass
     over the data, reshuffled on exhaustion; resumable from a global
@@ -168,25 +171,14 @@ class PatchCycler:
             raise DataError("patch dataset must be a nonempty 2-D matrix")
         self.batch_size = batch_size
         self.seed = seed
-        self._perm_cache = {}
-
-    def _perm(self, epoch):
-        if epoch not in self._perm_cache:
-            rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x5E4F, epoch]))
-            self._perm_cache[epoch] = rng.permutation(self.patches.shape[0])
-            if len(self._perm_cache) > 4:
-                oldest = min(k for k in self._perm_cache if k != epoch)
-                del self._perm_cache[oldest]
-        return self._perm_cache[epoch]
 
     def batch(self, iteration):
         n = self.patches.shape[0]
         start = iteration * self.batch_size
-        positions = np.arange(start, start + self.batch_size)
-        rows = np.empty(self.batch_size, dtype=np.int64)
-        for k, pos in enumerate(positions):
-            rows[k] = self._perm(int(pos // n))[int(pos % n)]
-        return self.patches[rows]
+        stop = start + self.batch_size
+        rows = [_epoch_permutation(self.seed, n, e)[max(start - e * n, 0):stop - e * n]
+                for e in range(start // n, (stop - 1) // n + 1)]
+        return self.patches[np.concatenate(rows)]
 
 
 def train(patches, config, stages, hmc_config=None, checkpoint_path=None,

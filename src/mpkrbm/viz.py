@@ -11,10 +11,12 @@ from .energy import phase_coupling_matrix
 from .errors import ShapeError
 
 
-def as_tile(vec, patch_size, channels):
-    if channels == 3:
-        return vec.reshape(patch_size, patch_size, 3)
-    return vec.reshape(patch_size, patch_size)
+def pixel_tiles(filters, whitening):
+    """Whitened-domain filters (rows of `filters`) as display tiles in the
+    raw pixel domain: an array (n, ps, ps), or (n, ps, ps, 3) for colour."""
+    ps = whitening.patch_size
+    shape = (ps, ps, 3) if whitening.channels == 3 else (ps, ps)
+    return filters_to_pixel_space(filters, whitening).reshape((-1,) + shape)
 
 
 def _scale_tile(tile):
@@ -25,9 +27,9 @@ def _scale_tile(tile):
 
 
 def mosaic(tiles, n_columns=None, gap=1, gap_value=128.0):
-    """Tile a list of equally-shaped images into one grid image with
-    per-tile min-max scaling to 0..255."""
-    if not tiles:
+    """Tile equally-shaped images (a list or a stacked array) into one grid
+    image with per-tile min-max scaling to 0..255."""
+    if len(tiles) == 0:
         raise ShapeError("mosaic needs at least one tile")
     tiles = [np.asarray(t, dtype=np.float64) for t in tiles]
     shape = tiles[0].shape
@@ -57,23 +59,20 @@ def subspace_tiles(params, whitening, kind="amplitude"):
     """One tile per subspace: either filter component, the per-pixel pair
     amplitude sqrt(c1^2 + c2^2), or the pair angle on a cyclic gray map."""
     D, F, L = params.C.shape
-    ps, ch = whitening.patch_size, whitening.channels
-    tiles = []
-    for f in range(F):
-        raw = filters_to_pixel_space(params.C[:, f, :].T, whitening)
-        if kind == "component0":
-            tile = raw[0]
-        elif kind == "component1":
-            tile = raw[1]
-        elif kind == "amplitude":
-            tile = np.sqrt(raw[0] ** 2 + raw[1] ** 2)
-        elif kind == "phase":
-            # cyclic gray map: continuous across the +/- pi seam
-            tile = 0.5 * (1.0 + np.cos(np.arctan2(raw[1], raw[0])))
-        else:
-            raise ValueError(f"unknown subspace tile kind {kind!r}")
-        tiles.append(as_tile(tile, ps, ch))
-    return tiles
+    flat = pixel_tiles(params.C.reshape(D, F * L).T, whitening)
+    c = flat.reshape((F, L) + flat.shape[1:])
+    if kind == "component0":
+        tiles = c[:, 0]
+    elif kind == "component1":
+        tiles = c[:, 1]
+    elif kind == "amplitude":
+        tiles = np.sqrt(c[:, 0] ** 2 + c[:, 1] ** 2)
+    elif kind == "phase":
+        # cyclic gray map: continuous across the +/- pi seam
+        tiles = 0.5 * (1.0 + np.cos(np.arctan2(c[:, 1], c[:, 0])))
+    else:
+        raise ValueError(f"unknown subspace tile kind {kind!r}")
+    return list(tiles)
 
 
 def top_weighted_subspaces(weights, n=6):
@@ -118,42 +117,29 @@ def ranked_offblock_pairs(K, subspace_dim):
     return ranked
 
 
-def group_tiles(params, whitening, matrix, kind, n_top=6, max_columns=32):
-    """Rows of tiles for grouped exports.
+def group_tiles(params, whitening, kind, n_top=6, max_columns=32):
+    """Rows of tiles for grouped exports, one row for each of the first
+    `max_columns` columns of P, Q (flattened to (F*L, G)) or R.
 
-    kind 'P': per pooling column, amplitude tiles of its top subspaces.
-    kind 'Q': per phase factor, tiles for the top-|Q| (f, l) filter vectors.
-    kind 'R': per coupling column, tiles for the filters touched by the
-              strongest K couplings (duplicates removed).
+    kind 'P': per pooling column, amplitude tiles of its top-|P| subspaces.
+    kind 'Q': per phase factor, tiles of its top-|Q| (f, l) filter vectors.
+    kind 'R': per coupling column, tiles of the filter vectors touched by
+              the strongest couplings of its K (duplicates removed).
     """
     D, F, L = params.C.shape
-    ps, ch = whitening.patch_size, whitening.channels
-    rows = []
-    n_cols = min(matrix.shape[1], max_columns)
-    for col in range(n_cols):
-        tiles = []
-        if kind == "P":
-            for f in top_weighted_subspaces(matrix[:, col], n_top):
-                pair = filters_to_pixel_space(params.C[:, f, :].T, whitening)
-                tiles.append(as_tile(np.sqrt(pair[0] ** 2 + pair[1] ** 2), ps, ch))
-        elif kind == "Q":
-            flat = matrix[:, col] if matrix.ndim == 2 else params.Q[:, :, col].reshape(-1)
-            c_flat = params.C.reshape(D, F * L)
-            for idx in top_weighted_subspaces(flat, n_top):
-                raw = filters_to_pixel_space(c_flat[:, idx], whitening)
-                tiles.append(as_tile(raw[0], ps, ch))
-        elif kind == "R":
-            h = np.zeros(params.R.shape[1])
-            h[col] = 1.0
-            K = phase_coupling_matrix(h, params)
-            c_flat = params.C.reshape(D, F * L)
-            for idx in top_coupled_entries(K, n_top):
-                raw = filters_to_pixel_space(c_flat[:, idx], whitening)
-                tiles.append(as_tile(raw[0], ps, ch))
-        else:
-            raise ValueError(f"unknown group kind {kind!r}")
-        rows.append(tiles)
-    return rows
+    if kind == "P":
+        picks = [top_weighted_subspaces(w, n_top) for w in params.P.T[:max_columns]]
+    elif kind == "Q":
+        picks = [top_weighted_subspaces(w, n_top)
+                 for w in params.Q.reshape(F * L, -1).T[:max_columns]]
+    elif kind == "R":
+        picks = [top_coupled_entries(phase_coupling_matrix(h, params), n_top)
+                 for h in np.eye(params.R.shape[1])[:max_columns]]
+    else:
+        raise ValueError(f"unknown group kind {kind!r}")
+    tiles = (subspace_tiles(params, whitening, kind="amplitude") if kind == "P"
+             else pixel_tiles(params.C.reshape(D, F * L).T, whitening))
+    return [[tiles[i] for i in idx] for idx in picks]
 
 
 def rows_to_mosaic(rows, gap=1):

@@ -1,12 +1,13 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from mpkrbm import pnm
-from mpkrbm.cli import main
+from mpkrbm.cli import main, max_workers
 from mpkrbm.config import RunConfig, load_run_config, parse_run_config, save_run_config
-from mpkrbm.errors import ConfigError
+from mpkrbm.errors import ConfigError, ParameterError
 
 
 def checksum(path):
@@ -98,6 +99,34 @@ def test_preprocess_empty_dir_exit_2(tmp_path):
     assert main(["preprocess", "--config", str(path)]) == 2
 
 
+def test_preprocess_mixed_channel_counts_exit_2(tmp_path, capsys):
+    path, _ = base_config(tmp_path)
+    write_images(tmp_path / "images", n=2, channels=3)
+    pnm.write_pnm(tmp_path / "images" / "zgray.pgm", smooth_image((40, 40), seed=9, channels=1))
+    assert main(["preprocess", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zgray.pgm has 1" in err and "img1.ppm has 3" in err
+    assert not (tmp_path / "out" / "patches.mpk").exists()
+
+
+@pytest.mark.parametrize("cap", ["abc", "-4", "0", "2.5"])
+def test_mpk_threads_must_be_a_positive_integer(tmp_path, monkeypatch, capsys, cap):
+    monkeypatch.setenv("MPK_THREADS", cap)
+    with pytest.raises(ParameterError, match="MPK_THREADS"):
+        max_workers()
+    path, _ = base_config(tmp_path)
+    write_images(tmp_path / "images", n=1)
+    assert main(["preprocess", "--config", str(path)]) == 3
+    assert f"MPK_THREADS must be an integer >= 1, got {cap!r}" in capsys.readouterr().err
+
+
+def test_mpk_threads_caps_the_pool(monkeypatch):
+    monkeypatch.setenv("MPK_THREADS", "1")
+    assert max_workers() == 1
+    monkeypatch.setenv("MPK_THREADS", "100000")
+    assert max_workers() == (os.cpu_count() or 1)
+
+
 def test_preprocess_deterministic_checksums(tmp_path):
     path, _ = base_config(tmp_path)
     write_images(tmp_path / "images")
@@ -154,6 +183,34 @@ def test_train_then_resume_and_export(tmp_path, capsys):
     assert exported.exists()
     img = pnm.read_pnm(exported)
     assert img.ndim == 3
+
+
+def test_export_all_writes_every_mosaic(tmp_path):
+    cfg_path, _ = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--iterations", "4"]) == 0
+    assert main(["export", "--config", str(cfg_path), "--what", "all"]) == 0
+    for item in ("C0", "C1", "W", "amplitude", "phase", "P", "Q", "R"):
+        img = pnm.read_pnm(tmp_path / "out" / f"filters_{item}.ppm")
+        assert img.ndim == 3 and img.shape[2] == 3, item
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("hmc", "n_leapfrog", 0),
+    ("trainer", "batch_size", 0),
+    ("trainer", "stage_iterations", (3, 3, 3, 3)),
+])
+def test_train_bad_config_value_exit_3(tmp_path, capsys, section, key, value):
+    cfg_path, config = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    setattr(getattr(config, section), key, value)
+    save_run_config(config, cfg_path)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_train_without_patches_exit_4(tmp_path):

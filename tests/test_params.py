@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpkrbm.container import write_container
 from mpkrbm.errors import FormatError, ShapeError
 from mpkrbm.params import (
+    ModelParams,
     ModelShape,
     banded_identity,
     init_params,
@@ -143,6 +145,45 @@ def test_checkpoint_round_trip(tmp_path):
         assert tensor.tobytes() == getattr(q, name).tobytes(), name
     assert q.alpha == p.alpha and q.subspace_dim == p.subspace_dim
     assert back_state == state
+
+
+def test_checkpoint_round_trip_hand_built_l3(tmp_path):
+    D, F, L, N, M, G, T = 5, 2, 3, 2, 2, 2, 2
+    rng = np.random.default_rng(0)
+    p = ModelParams(
+        C=rng.standard_normal((D, F, L)), P=-np.abs(rng.standard_normal((F, N))),
+        W=rng.standard_normal((D, M)), Q=rng.standard_normal((F, L, G)),
+        R=rng.standard_normal((G, T)), b_c=np.zeros(N), b_m=np.zeros(M),
+        b_k=np.zeros(T), b_v=np.zeros(D), alpha=1.5,
+    )
+    assert p.subspace_dim == 3 and p.shape.subspace_dim == 3
+    path = tmp_path / "ck.mpk"
+    save_checkpoint(p, {}, path)
+    q, _ = load_checkpoint(path)
+    assert q.subspace_dim == 3 and q.alpha == 1.5
+    for name, tensor in p.tensors().items():
+        assert tensor.tobytes() == getattr(q, name).tobytes(), name
+
+
+def test_checkpoint_header_l_must_match_c(tmp_path):
+    p = init_params(SHAPE, seed=5)
+    tensors = dict(p.tensors(), alpha=np.float64(p.alpha), L=np.float64(3))
+    path = tmp_path / "ck.mpk"
+    write_container(path, tensors)
+    with pytest.raises(ShapeError, match="header L=3 but C has L=2"):
+        load_checkpoint(path)
+
+
+def test_copy_is_deep_and_keeps_alpha():
+    p = init_params(SHAPE, seed=5, alpha=1.5)
+    q = p.copy()
+    assert q.alpha == 1.5
+    for name, tensor in p.tensors().items():
+        copied = getattr(q, name)
+        assert copied is not tensor and not np.shares_memory(copied, tensor), name
+        assert np.array_equal(copied, tensor), name
+        copied += 1.0
+        assert not np.array_equal(copied, tensor), name
 
 
 def test_checkpoint_truncated(tmp_path):

@@ -48,6 +48,18 @@ def test_extract_window_content_matches_image():
         assert tuple(row) in windows
 
 
+def test_extract_matches_per_patch_loop():
+    rng = np.random.default_rng(3)
+    ps, count = 5, 40
+    for image in (rng.uniform(0, 255, size=(23, 31, 3)), rng.uniform(0, 255, size=(17, 12))):
+        img = image if image.ndim == 3 else image[:, :, None]
+        offsets = np.random.default_rng(8)
+        rows = offsets.integers(0, img.shape[0] - ps + 1, size=count)
+        cols = offsets.integers(0, img.shape[1] - ps + 1, size=count)
+        expected = np.array([img[r:r + ps, c:c + ps, :].reshape(-1) for r, c in zip(rows, cols)])
+        assert extract_patches(image, ps, count, seed=8).tobytes() == expected.tobytes()
+
+
 def test_extract_image_too_small():
     with pytest.raises(ShapeError):
         extract_patches(np.zeros((4, 4)), 8, 1, seed=0)

@@ -195,6 +195,23 @@ def test_patch_cycler_deterministic_per_iteration():
     assert np.array_equal(a.batch(2), b.batch(2))
 
 
+@pytest.mark.parametrize("n, batch_size", [(10, 4), (6, 2), (3, 8), (5, 5)])
+def test_patch_cycler_matches_per_position_reference(n, batch_size):
+    patches = np.random.default_rng(2).standard_normal((n, 3))
+    cycler = PatchCycler(patches, batch_size, seed=11)
+
+    def reference(iteration):
+        rows = []
+        for pos in range(iteration * batch_size, (iteration + 1) * batch_size):
+            seq = np.random.SeedSequence([11, 0x5E4F, pos // n])
+            rows.append(np.random.default_rng(seq).permutation(n)[pos % n])
+        return patches[rows]
+
+    # out of order and far apart, so epochs leave and re-enter the cache
+    for it in (0, 1, 2, 3, 40, 7, 2, 41, 0, 13, 12, 11, 10, 9, 8, 3):
+        assert reference(it).tobytes() == cycler.batch(it).tobytes(), it
+
+
 def synthetic_patches(n=600, seed=0):
     from mpkrbm.synth import VonMisesPair, quadrature_gabor_basis, \
         render_quadrature_patches, sample_coupled_phases

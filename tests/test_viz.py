@@ -1,8 +1,10 @@
 import numpy as np
 
+from mpkrbm.energy import phase_coupling_matrix
 from mpkrbm.params import ModelShape, init_params
 from mpkrbm.preprocess import WhiteningTransform
 from mpkrbm.viz import (
+    group_tiles,
     mosaic,
     ranked_offblock_pairs,
     subspace_tiles,
@@ -41,6 +43,69 @@ def test_amplitude_tile_value():
     params.C[0, 0, 1] = 4.0
     tile = subspace_tiles(params, wt, kind="amplitude")[0]
     assert np.isclose(tile.reshape(-1)[0], 5.0)
+
+
+def delta_params(shape):
+    """Model whose filter vector (f, l) is the delta at pixel f * L + l."""
+    params = init_params(shape, seed=0)
+    D, F, L = params.C.shape
+    params.C[:] = 0.0
+    params.C.reshape(D, F * L)[np.arange(F * L), np.arange(F * L)] = 1.0
+    return params
+
+
+def test_component1_and_phase_tiles_on_delta_filters():
+    ps = 3
+    params = delta_params(ModelShape(ps * ps, 3, 2, 2, 2, 2, 2))
+    wt = identity_whitening(ps)
+    for f, tile in enumerate(subspace_tiles(params, wt, kind="component1")):
+        expected = np.zeros(ps * ps)
+        expected[2 * f + 1] = 1.0
+        assert np.array_equal(tile.reshape(-1), expected)
+    # angle 0 where only component 0 is on, pi/2 where only component 1 is,
+    # and atan2(0, 0) = 0 elsewhere; the cyclic map is (1 + cos) / 2
+    for f, tile in enumerate(subspace_tiles(params, wt, kind="phase")):
+        expected = np.ones(ps * ps)
+        expected[2 * f + 1] = 0.5
+        assert np.allclose(tile.reshape(-1), expected, atol=1e-15)
+
+
+def test_group_tiles_rows_follow_p_q_and_r():
+    ps = 3
+    shape = ModelShape(ps * ps, 4, 2, 5, 2, 3, 40)
+    params = delta_params(shape)
+    rng = np.random.default_rng(3)
+    params.P = -np.abs(rng.standard_normal(params.P.shape))
+    params.Q = rng.standard_normal(params.Q.shape)
+    params.R = rng.standard_normal(params.R.shape)
+    wt = identity_whitening(ps)
+
+    def delta(index):
+        return np.eye(ps * ps)[index].reshape(ps, ps)
+
+    def amplitude(f):
+        return np.sqrt(delta(2 * f) ** 2 + delta(2 * f + 1) ** 2)
+
+    rows = group_tiles(params, wt, "P", n_top=3)
+    assert len(rows) == 5
+    for col, row in enumerate(rows):
+        top = np.argsort(-np.abs(params.P[:, col]))[:3]
+        assert len(row) == 3
+        assert all(np.array_equal(t, amplitude(f)) for t, f in zip(row, top))
+
+    rows = group_tiles(params, wt, "Q", n_top=4)
+    assert len(rows) == 3
+    q_flat = params.Q.reshape(8, 3)
+    for col, row in enumerate(rows):
+        top = np.argsort(-np.abs(q_flat[:, col]))[:4]
+        assert all(np.array_equal(t, delta(i)) for t, i in zip(row, top))
+
+    rows = group_tiles(params, wt, "R", n_top=4, max_columns=32)
+    assert len(rows) == 32
+    for col, row in enumerate(rows):
+        K = phase_coupling_matrix(np.eye(40)[col], params)
+        assert len(row) == 4
+        assert all(np.array_equal(t, delta(i)) for t, i in zip(row, top_coupled_entries(K, 4)))
 
 
 def test_mosaic_layout_and_scaling():
