@@ -112,11 +112,6 @@ def cmd_train(args):
         raise ShapeError(
             f"config says n_visible={config.model.n_visible} but patches have D={n_visible}")
 
-    out_dir = Path(args.out or config.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    checkpoint_path = config.paths.checkpoint or str(out_dir / "checkpoint.mpk")
-    metrics_path = str(out_dir / "metrics.csv")
-
     stages = default_stages(config.trainer.stage_iterations)
     if args.resume:
         if not Path(args.resume).exists():
@@ -132,12 +127,13 @@ def cmd_train(args):
         params = init_params(shape, config.trainer.seed, alpha=config.model.alpha)
         start_iteration = 0
         step_size = None
-        if Path(metrics_path).exists():
-            os.remove(metrics_path)
 
+    out_dir = Path(args.out or config.paths.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    checkpoint_path = config.paths.checkpoint or str(out_dir / "checkpoint.mpk")
     params, history = train(
         patches, config.trainer, stages, hmc_config=config.hmc,
-        checkpoint_path=checkpoint_path, metrics_path=metrics_path,
+        checkpoint_path=checkpoint_path, metrics_path=str(out_dir / "metrics.csv"),
         start_iteration=start_iteration, initial_params=params,
         initial_step_size=step_size, max_iterations=args.iterations,
         log_fn=print,

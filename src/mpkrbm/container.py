@@ -18,6 +18,8 @@ Scalars are stored as rank-0 tensors. Checkpoints, patch files, whitening
 transforms and synthetic datasets all share this format.
 """
 
+import contextlib
+import os
 import struct
 import zlib
 
@@ -35,21 +37,34 @@ _CRC = struct.Struct("<I")
 
 
 def write_container(path, tensors):
-    """Write an ordered mapping of name -> array-like to `path`."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(VERSION, len(tensors)))
-        for name, value in tensors.items():
-            # note: ascontiguousarray would promote rank-0 scalars to rank 1
-            arr = np.asarray(value, dtype="<f8", order="C")
-            name_bytes = name.encode("utf-8")
-            if len(name_bytes) > 0xFFFF:
-                raise FormatError(f"tensor name too long: {name!r}")
-            dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
-            payload = name_bytes + _RANK.pack(arr.ndim) + dims + arr.tobytes()
-            fh.write(_NAME_LEN.pack(len(name_bytes)))
-            fh.write(payload)
-            fh.write(_CRC.pack(zlib.crc32(payload)))
+    """Write an ordered mapping of name -> array-like to `path`.
+
+    The bytes go to a temporary file beside `path`, which then replaces it
+    in one rename: a write that fails midway leaves the old file intact
+    and no temporary file behind.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(_HEADER.pack(VERSION, len(tensors)))
+            for name, value in tensors.items():
+                # note: ascontiguousarray would promote rank-0 scalars to rank 1
+                arr = np.asarray(value, dtype="<f8", order="C")
+                name_bytes = name.encode("utf-8")
+                if len(name_bytes) > 0xFFFF:
+                    raise FormatError(f"tensor name too long: {name!r}")
+                dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
+                payload = name_bytes + _RANK.pack(arr.ndim) + dims + arr.tobytes()
+                fh.write(_NAME_LEN.pack(len(name_bytes)))
+                fh.write(payload)
+                fh.write(_CRC.pack(zlib.crc32(payload)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, n, what):

@@ -24,8 +24,17 @@ patch; `subspace_pool`, `pool_drive`, `energy_p`, `energy_k` and
 `phase_features` on a patch the caller has normalized; `energy_m` on the
 raw patch. `grad` runs its backward pass from the same intermediates.
 
-All operations are pure functions of (v, params); v may be a single vector
-(D,) or rows with any leading shape (..., D).
+The intermediates are written with `out=` operations into a `Workspace`,
+a set of named buffers reused from one call to the next. Whoever creates
+a workspace owns it: `sampler.hmc_chain` keeps one for every gradient
+call of its simulations, `trainer.cd1_step` one for its two
+parameter-gradient passes. A call given no workspace gets a fresh one, so
+there is one code path either way. Arrays returned by the gradient
+functions are never workspace buffers; the views here each run on a
+fresh workspace, so what they return is the caller's alone.
+
+All public operations are pure functions of (v, params); v may be a single
+vector (D,) or rows with any leading shape (..., D).
 """
 
 from dataclasses import dataclass
@@ -39,25 +48,91 @@ from .preprocess import EPS_NORM
 EPS_R = 1e-6
 
 
+class Workspace:
+    """Buffers that `_forward` and `grad`'s backward pass fill with `out=`
+    operations, one per (name, shape, dtype).
+
+    Whoever creates a workspace owns it and passes it to one call after
+    another; each call overwrites what the last one left there. A buffer
+    is allocated on the first request for its name and shape, so a caller
+    that evaluates one batch shape many times allocates once. "tmp" and
+    "tmp2" are scratch: each use ends before the next request for the
+    same name and shape. The functions that take a workspace return only
+    arrays of their own, never one of its buffers; a call given none works
+    in a fresh one that nothing else holds.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name, shape, dtype=np.float64):
+        key = (name, shape, dtype)
+        buf = self._buffers.get(key)
+        if buf is None:
+            buf = self._buffers[key] = np.empty(shape, dtype)
+        return buf
+
+
+def _exp_neg_abs(ws, name, y):
+    """exp(-|y|), the one exp that a gate's softplus and sigmoid share."""
+    e = np.abs(y, out=ws(name + ".exp", y.shape))
+    return np.exp(np.negative(e, out=e), out=e)
+
+
+def _softplus(ws, y, e):
+    """log(1 + exp(y)) = max(y, 0) + log1p(e), with e = exp(-|y|), in scratch."""
+    out = np.log1p(e, out=ws("tmp", y.shape))
+    out += np.maximum(y, 0.0, out=ws("tmp2", y.shape))
+    return out
+
+
+def _sigmoid(ws, name, y, e):
+    """1 / (1 + exp(-y)) from e = exp(-|y|): 1/(1+e) where y >= 0,
+    e/(1+e) elsewhere (NaN included)."""
+    den = np.add(e, 1.0, out=ws("tmp", y.shape))
+    out = np.divide(e, den, out=ws(name + ".sigmoid", y.shape))
+    nonneg = np.greater_equal(y, 0.0, out=ws("tmp", y.shape, bool))
+    return np.divide(1.0, den, out=out, where=nonneg)
+
+
 def softplus(y):
     """log(1 + exp(y)) computed without overflow."""
     y = np.asarray(y, dtype=np.float64)
-    return np.maximum(y, 0.0) + np.log1p(np.exp(-np.abs(y)))
+    ws = Workspace()
+    return _softplus(ws, y, _exp_neg_abs(ws, "y", y))[()]
 
 
 def sigmoid(y):
     y = np.asarray(y, dtype=np.float64)
-    z = np.exp(np.where(y >= 0, -y, y))     # exp of a non-positive value
-    return np.where(y >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    ws = Workspace()
+    return _sigmoid(ws, "y", y, _exp_neg_abs(ws, "y", y))[()]
 
 
-def _forward(v, params, with_phase=True, normalize=True):
+def _sum_last(a, out):
+    """a.sum(axis=-1) as adds of its trailing planes, in np.sum's order:
+    far cheaper than a reduction over a short trailing axis."""
+    np.copyto(out, a[..., 0])
+    for plane in range(1, a.shape[-1]):
+        out += a[..., plane]
+    return out
+
+
+def _per_plane(op, a, b, out):
+    """op(a, b[..., None], out=out) one trailing plane at a time: numpy
+    broadcasts over a short trailing axis several times slower."""
+    for plane in range(a.shape[-1]):
+        op(a[..., plane], b, out=out[..., plane])
+    return out
+
+
+def _forward(v, params, with_phase=True, normalize=True, workspace=None):
     """Every intermediate of F at the rows of v, flattened to (B, D).
 
     With `normalize` the pooling and phase paths see u = v / max(||v||, eps);
     without it they see v as given (the drive views take an already
     normalized patch). `lead` is the caller's leading shape; `_view`
-    restores it on any per-row result.
+    restores it on any per-row result. The intermediates live in
+    `workspace` (a fresh one if none is given) until its next use.
     """
     v = np.asarray(v, dtype=np.float64)
     D, F, L = params.C.shape
@@ -68,26 +143,49 @@ def _forward(v, params, with_phase=True, normalize=True):
     if with_phase and L != 2:
         raise ParameterError(f"phase units require subspace dimension L = 2, got L={L}")
 
-    fw = SimpleNamespace(lead=v.shape[:-1], with_phase=with_phase)
+    ws = Workspace() if workspace is None else workspace
+    fw = SimpleNamespace(lead=v.shape[:-1], with_phase=with_phase, ws=ws)
     V = fw.V = v.reshape(-1, D)
     B = V.shape[0]
+    N, M = params.P.shape[1], params.W.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        fw.norm = np.linalg.norm(V, axis=1, keepdims=True)
-        fw.nu = np.maximum(fw.norm, EPS_NORM)
-        fw.U = V / fw.nu if normalize else V
-        Y = fw.Y = (fw.U @ params.C.reshape(D, F * L)).reshape(B, F, L)
-        fw.abs_y = np.abs(Y)
-        fw.s = np.sum(fw.abs_y ** params.alpha, axis=-1) ** (1.0 / params.alpha)
-        fw.phi = 0.5 * fw.s @ params.P + params.b_c
-        fw.m = V @ params.W + params.b_m
-        fw.quad = 0.5 * np.sum(V * V, axis=1) - V @ params.b_v
-        fw.f = fw.quad - softplus(fw.phi).sum(axis=1) - softplus(fw.m).sum(axis=1)
+        sq_norm = np.add.reduce(np.multiply(V, V, out=ws("tmp", (B, D))), axis=1,
+                                out=ws("|v|^2", (B,)))
+        fw.norm = np.sqrt(sq_norm[:, None], out=ws("norm", (B, 1)))
+        fw.nu = np.maximum(fw.norm, EPS_NORM, out=ws("nu", (B, 1)))
+        fw.U = np.divide(V, fw.nu, out=ws("U", (B, D))) if normalize else V
+        Y = fw.Y = np.matmul(fw.U, params.C.reshape(D, F * L),
+                             out=ws("Y", (B, F * L))).reshape(B, F, L)
+        pow_y = np.abs(Y, out=ws("tmp", (B, F, L)))
+        pow_y **= params.alpha
+        fw.s = _sum_last(pow_y, ws("s", (B, F)))
+        fw.s **= 1.0 / params.alpha
+        fw.phi = np.matmul(np.multiply(fw.s, 0.5, out=ws("tmp", (B, F))), params.P,
+                           out=ws("phi", (B, N)))
+        fw.phi += params.b_c
+        fw.m = np.matmul(V, params.W, out=ws("m", (B, M)))
+        fw.m += params.b_m
+        fw.quad = np.multiply(sq_norm, 0.5, out=ws("quad", (B,)))
+        fw.quad -= np.matmul(V, params.b_v, out=ws("tmp", (B,)))
+        fw.e_p = _exp_neg_abs(ws, "p", fw.phi)
+        fw.e_m = _exp_neg_abs(ws, "m", fw.m)
+        fw.f = np.subtract(fw.quad, _softplus(ws, fw.phi, fw.e_p).sum(axis=1),
+                           out=ws("f", (B,)))
+        fw.f -= _softplus(ws, fw.m, fw.e_m).sum(axis=1)
         if with_phase:
-            fw.r = np.sqrt(np.sum(Y * Y, axis=-1) + EPS_R * EPS_R)
-            fw.x = Y / fw.r[..., None]
-            fw.q = fw.x.reshape(B, F * L) @ params.Q.reshape(F * L, -1)
-            fw.psi = 0.5 * (fw.q * fw.q) @ params.R + params.b_k
-            fw.f = fw.f - softplus(fw.psi).sum(axis=1)
+            G, T = params.R.shape
+            r2 = _sum_last(np.multiply(Y, Y, out=ws("tmp", (B, F, L))), ws("r", (B, F)))
+            r2 += EPS_R * EPS_R
+            fw.r = np.sqrt(r2, out=r2)
+            fw.x = _per_plane(np.divide, Y, fw.r, ws("x", (B, F, L)))
+            fw.q = np.matmul(fw.x.reshape(B, F * L), params.Q.reshape(F * L, G),
+                             out=ws("q", (B, G)))
+            half_q2 = np.multiply(fw.q, fw.q, out=ws("tmp", (B, G)))
+            half_q2 *= 0.5
+            fw.psi = np.matmul(half_q2, params.R, out=ws("psi", (B, T)))
+            fw.psi += params.b_k
+            fw.e_k = _exp_neg_abs(ws, "k", fw.psi)
+            fw.f -= _softplus(ws, fw.psi, fw.e_k).sum(axis=1)
     return fw
 
 
@@ -215,9 +313,9 @@ class HiddenActivations:
 def hidden_conditionals(v, params, with_phase=True):
     fw = _forward(v, params, with_phase)
     return HiddenActivations(
-        p_hp=_view(fw, sigmoid(fw.phi)),
-        p_hm=_view(fw, sigmoid(fw.m)),
-        p_hk=_view(fw, sigmoid(fw.psi)) if with_phase else None,
+        p_hp=_view(fw, _sigmoid(fw.ws, "p", fw.phi, fw.e_p)),
+        p_hm=_view(fw, _sigmoid(fw.ws, "m", fw.m, fw.e_m)),
+        p_hk=_view(fw, _sigmoid(fw.ws, "k", fw.psi, fw.e_k)) if with_phase else None,
     )
 
 

@@ -12,6 +12,11 @@ in `energy` (`energy._forward`) and goes backward from its
 intermediates, so F comes with every gradient at no extra cost.
 `free_energy_and_grad_v` returns both for the sampler, and
 `grad_free_energy_params` carries the per-row F of its batch.
+
+Both take an optional `energy.Workspace`, owned by the caller, that holds
+the forward and backward intermediates from one call to the next. What
+they return is always a new array, never a workspace buffer, so a result
+survives any later call through the same workspace.
 """
 
 from dataclasses import dataclass, field
@@ -43,44 +48,74 @@ class ParamGradient:
 
 def _backward(fw, params):
     """Add the hidden gates and dF/dy (B, F, L), the derivative of F at
-    the subspace projections, to a forward pass."""
+    the subspace projections, to a forward pass, in its workspace."""
+    ws = fw.ws
     B, F, L = fw.Y.shape
-    fw.sig_p, fw.sig_m = energy.sigmoid(fw.phi), energy.sigmoid(fw.m)
-    g_s = -0.5 * fw.sig_p @ params.P.T                       # (B, F)
+    fw.sig_p = energy._sigmoid(ws, "p", fw.phi, fw.e_p)
+    fw.sig_m = energy._sigmoid(ws, "m", fw.m, fw.e_m)
+    g_s = np.matmul(np.multiply(fw.sig_p, -0.5, out=ws("tmp", fw.sig_p.shape)), params.P.T,
+                    out=ws("g_s", (B, F)))
     # d s_f / d y_fl = (|y|/s)^(alpha-1) * sign(y); zero subspaces contribute 0
-    s = fw.s[..., None]
-    safe_s = np.where(s > 0, s, 1.0)
-    dsdy = np.where(s > 0, (fw.abs_y / safe_s) ** (params.alpha - 1.0) * np.sign(fw.Y), 0.0)
-    fw.dy = g_s[..., None] * dsdy
+    zero = ws("s<=0", (B, F), bool)     # NaN included
+    np.logical_not(np.greater(fw.s, 0.0, out=zero), out=zero)
+    safe_s = ws("tmp", (B, F))
+    np.copyto(safe_s, fw.s)
+    np.copyto(safe_s, 1.0, where=zero)
+    dy = fw.dy = np.abs(fw.Y, out=ws("dy", (B, F, L)))
+    energy._per_plane(np.divide, dy, safe_s, dy)
+    if params.alpha != 2.0:     # x ** 1 is x
+        dy **= params.alpha - 1.0
+    dy *= np.sign(fw.Y, out=ws("tmp", (B, F, L)))
+    if zero.any():
+        np.copyto(dy, 0.0, where=zero[..., None])
+    energy._per_plane(np.multiply, dy, g_s, dy)
     if fw.with_phase:
-        fw.sig_k = energy.sigmoid(fw.psi)
-        fw.g_q = -(fw.sig_k @ params.R.T) * fw.q             # (B, G)
-        g_x = (fw.g_q @ params.Q.reshape(F * L, -1).T).reshape(B, F, L)
+        fw.sig_k = energy._sigmoid(ws, "k", fw.psi, fw.e_k)
+        fw.g_q = np.matmul(fw.sig_k, params.R.T, out=ws("g_q", fw.q.shape))  # (B, G)
+        np.negative(fw.g_q, out=fw.g_q)
+        fw.g_q *= fw.q
+        g_x = np.matmul(fw.g_q, params.Q.reshape(F * L, -1).T,
+                        out=ws("g_x", (B, F * L))).reshape(B, F, L)
         # x = y / r with r^2 = |y|^2 + eps^2, so dx/dy = (I - x x') / r
-        fw.dy += (g_x - fw.x * np.sum(g_x * fw.x, axis=-1, keepdims=True)) / fw.r[..., None]
+        g_x_x = energy._sum_last(np.multiply(g_x, fw.x, out=ws("tmp", (B, F, L))),
+                                 ws("tmp", (B, F)))
+        g_x -= energy._per_plane(np.multiply, fw.x, g_x_x, ws("tmp", (B, F, L)))
+        dy += energy._per_plane(np.divide, g_x, fw.r, g_x)
     return fw
 
 
-def free_energy_and_grad_v(v, params, with_phase=True):
+def free_energy_and_grad_v(v, params, with_phase=True, workspace=None):
     """(F, dF/dv) from one forward pass: F as `energy.free_energy` gives
-    it, dF/dv with the shape of v.
+    it, dF/dv with the shape of v. Both are new arrays, whether or not
+    the caller passes a `workspace` (an `energy.Workspace`) for the
+    intermediates.
 
     Finite for any finite v: the amplitude regularizer and the
     constant-scale treatment below the normalization floor keep every
     path differentiable almost everywhere. Non-finite values are returned,
     not raised: HMC counts them as divergences.
     """
-    fw = _backward(energy._forward(v, params, with_phase), params)
+    fw = _backward(energy._forward(v, params, with_phase, workspace=workspace), params)
+    ws = fw.ws
     D, F, L = params.C.shape
-    g_u = fw.dy.reshape(-1, F * L) @ params.C.reshape(D, F * L).T
+    B = fw.V.shape[0]
+    g_u = np.matmul(fw.dy.reshape(B, F * L), params.C.reshape(D, F * L).T,
+                    out=ws("g_u", (B, D)))
 
     # Jacobian of u = v / max(||v||, eps): tangential projection above the
     # floor, plain 1/eps scaling below it.
     U = fw.U
-    tangential = g_u - U * np.sum(g_u * U, axis=1, keepdims=True)
-    g_v = np.where(fw.norm >= EPS_NORM, tangential, g_u) / fw.nu
-    g_v += fw.V - params.b_v - fw.sig_m @ params.W.T
-    return energy._view(fw, fw.f), energy._view(fw, g_v)
+    g_u_u = np.add.reduce(np.multiply(g_u, U, out=ws("tmp", (B, D))), axis=1,
+                          out=ws("tmp", (B,)))
+    g_v = np.subtract(g_u, np.multiply(U, g_u_u[:, None], out=ws("tmp", (B, D))))
+    below = ws("tmp", (B, 1), bool)     # NaN included
+    np.logical_not(np.greater_equal(fw.norm, EPS_NORM, out=below), out=below)
+    np.copyto(g_v, g_u, where=below)
+    g_v /= fw.nu
+    visible = np.subtract(fw.V, params.b_v, out=ws("tmp", (B, D)))
+    visible -= np.matmul(fw.sig_m, params.W.T, out=ws("tmp2", (B, D)))
+    g_v += visible
+    return energy._view(fw, fw.f.copy()), energy._view(fw, g_v)
 
 
 def grad_free_energy_v(v, params, with_phase=True):
@@ -88,9 +123,10 @@ def grad_free_energy_v(v, params, with_phase=True):
     return free_energy_and_grad_v(v, params, with_phase=with_phase)[1]
 
 
-def grad_free_energy_params(v_batch, params, with_phase=True):
+def grad_free_energy_params(v_batch, params, with_phase=True, workspace=None):
     """Mean over batch rows of dF/dTheta for every learnable tensor, with
-    the per-row F of the batch in `f_rows`.
+    the per-row F of the batch in `f_rows`; every field is a new array,
+    whether or not the caller passes a `workspace` for the intermediates.
 
     Tensors of the phase family come back zero when `with_phase` is off.
     A non-finite drive or visible term raises NumericError, as in
@@ -101,7 +137,7 @@ def grad_free_energy_params(v_batch, params, with_phase=True):
         raise DataError("empty batch")
     B = V.shape[0]
     D, F, L = params.C.shape
-    fw = energy._forward(V, params, with_phase)
+    fw = energy._forward(V, params, with_phase, workspace=workspace)
     energy._check_finite(fw, "grad_free_energy_params")
     _backward(fw, params)
 
@@ -115,7 +151,7 @@ def grad_free_energy_params(v_batch, params, with_phase=True):
         b_m=-fw.sig_m.mean(axis=0),
         b_k=np.zeros_like(params.b_k),
         b_v=-V.mean(axis=0),
-        f_rows=fw.f,
+        f_rows=fw.f.copy(),
     )
     if with_phase:
         g.Q = (fw.x.reshape(B, F * L).T @ fw.g_q).reshape(params.Q.shape) / B

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energy import Workspace
 from .errors import ParameterError
 from .grad import free_energy_and_grad_v
 
@@ -63,10 +64,10 @@ def leapfrog(v, p, grad_fn, step_size, n_steps):
     v = v.copy()
     p = p - 0.5 * step_size * grad_fn(v)
     for i in range(n_steps):
-        v = v + step_size * p
+        v += step_size * p
         if i < n_steps - 1:
-            p = p - step_size * grad_fn(v)
-    p = p - 0.5 * step_size * grad_fn(v)
+            p -= step_size * grad_fn(v)
+    p -= 0.5 * step_size * grad_fn(v)
     return v, p
 
 
@@ -78,6 +79,12 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
     carries the adapted value (pass it back via `step_size` to continue a
     chain across calls). A caller-supplied `rng` preserves its stream, so
     repeated 1-simulation calls match one n-simulation call exactly.
+
+    Every gradient call of every simulation fills one workspace. F and
+    dF/dv at the current state carry over from one simulation to the
+    next: an accepted row sits where the last gradient was taken, a
+    rejected one where the first was. So n simulations of K leapfrog
+    steps run n*K + 1 forward passes.
     """
     config.validate()
     if rng is None:
@@ -87,27 +94,34 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
     eps = config.step_size if step_size is None else step_size
     stats = HmcStats()
 
-    # F at every point where leapfrog takes the gradient; its first
-    # evaluation is at the start point and its last at the end point
-    energies = []
+    workspace = Workspace()
+    at_v = None   # (F, dF/dv) at v, carried over from the last simulation
+
+    def evaluate(x):
+        return free_energy_and_grad_v(x, params, with_phase=with_phase, workspace=workspace)
 
     def grad_fn(x):
-        f, g = free_energy_and_grad_v(x, params, with_phase=with_phase)
-        energies.append(f)
-        return g
+        # leapfrog's first call is at the start point v, its last at the end point
+        if start_end[0] is None:
+            start_end[0] = start_end[1] = at_v if at_v is not None else evaluate(x)
+        else:
+            start_end[1] = evaluate(x)
+        return start_end[1][1]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_simulations):
             p0 = rng.standard_normal((B, D))
-            energies.clear()
+            start_end = [None, None]
             v1, p1 = leapfrog(v, p0, grad_fn, eps, config.n_leapfrog)
-            h0 = energies[0] + 0.5 * np.sum(p0 * p0, axis=1)
-            h1 = energies[-1] + 0.5 * np.sum(p1 * p1, axis=1)
+            (f0, g0), (f1, g1) = start_end
+            h0 = f0 + 0.5 * np.sum(p0 * p0, axis=1)
+            h1 = f1 + 0.5 * np.sum(p1 * p1, axis=1)
             delta_h = h1 - h0
 
             finite = np.isfinite(delta_h)
             accept = finite & (np.log(rng.uniform(size=B)) < -delta_h)
             v = np.where(accept[:, None], v1, v)
+            at_v = np.where(accept, f1, f0), np.where(accept[:, None], g1, g0)
 
             n_acc = int(accept.sum())
             n_div = int(B - finite.sum())

@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .energy import Workspace
 from .errors import DataError, NumericError, ParameterError
 from .grad import grad_free_energy_params
 from .params import LEARNABLE_TENSORS, banded_pattern, project_constraints, save_checkpoint
@@ -125,8 +126,10 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     sampler_fn = negative_sampler or _hmc_negative_sampler
     model_batch, stats = sampler_fn(batch, params, hmc_config, step_size, rng, with_phase)
 
-    g_data = grad_free_energy_params(batch, params, with_phase=with_phase)
-    g_model = grad_free_energy_params(model_batch, params, with_phase=with_phase)
+    workspace = Workspace()
+    g_data = grad_free_energy_params(batch, params, with_phase=with_phase, workspace=workspace)
+    g_model = grad_free_energy_params(model_batch, params, with_phase=with_phase,
+                                      workspace=workspace)
 
     updates, norms = {}, {}
     for name in LEARNABLE_TENSORS:
@@ -189,25 +192,31 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
     Resume by passing the checkpointed params, iteration and step size;
     the minibatch stream and per-iteration RNGs are derived from the
     config seed and the global iteration index, so a resumed run matches
-    an uninterrupted one exactly.
+    an uninterrupted one exactly. The whole run is checked before any file
+    is written; a run from iteration 0 starts a new metrics file, a resumed
+    one appends to it.
     """
-    config.validate()
     hmc_config = hmc_config or HmcConfig()
+    if initial_params is None:
+        raise DataError("train() needs initial params (use init_params)")
+    config.validate()
+    hmc_config.validate()
+    L = initial_params.subspace_dim
+    if L != 2 and any(stage.phase_enabled and stage.iterations > 0 for stage in stages):
+        raise ParameterError(f"phase stages need subspace dimension L = 2, got L={L}")
     cycler = PatchCycler(patches, config.batch_size, config.seed)
     boundaries = np.cumsum([s.iterations for s in stages])
     total = int(boundaries[-1])
     if max_iterations is not None:
         total = min(total, start_iteration + max_iterations)
 
-    if initial_params is None:
-        raise DataError("train() needs initial params (use init_params)")
     params = initial_params
     step_size = hmc_config.step_size if initial_step_size is None else initial_step_size
 
     metrics_fh = None
     if metrics_path is not None:
         fresh = start_iteration == 0
-        metrics_fh = open(metrics_path, "a")
+        metrics_fh = open(metrics_path, "w" if fresh else "a")
         if fresh:
             metrics_fh.write(StepMetrics.csv_header() + "\n")
 

@@ -57,8 +57,11 @@ def filters_to_pixel_space(filters, whitening):
 
 def subspace_tiles(params, whitening, kind="amplitude"):
     """One tile per subspace: either filter component, the per-pixel pair
-    amplitude sqrt(c1^2 + c2^2), or the pair angle on a cyclic gray map."""
+    amplitude sqrt(c1^2 + c2^2), or the pair angle on a cyclic gray map.
+    Every kind but component0 needs a second component (L >= 2)."""
     D, F, L = params.C.shape
+    if L < 2 and kind != "component0":
+        raise ShapeError(f"{kind} tiles need subspace dimension L >= 2, got L={L}")
     flat = pixel_tiles(params.C.reshape(D, F * L).T, whitening)
     c = flat.reshape((F, L) + flat.shape[1:])
     if kind == "component0":

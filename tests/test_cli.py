@@ -274,3 +274,43 @@ def test_sample_command(tmp_path, capsys):
     assert out.startswith("step_size,rejection_rate,mean_delta_h")
     assert (tmp_path / "samples.mpk").exists()
     assert main(["sample", "--resume", str(tmp_path / "missing.mpk")]) == 4
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("hmc", "n_leapfrog", 0),
+    ("model", "subspace_dim", 1),
+])
+def test_train_bad_config_touches_no_output(tmp_path, capsys, section, key, value):
+    # the whole run is checked before metrics.csv is rewritten or any
+    # stage runs, so the files of an earlier run survive byte for byte
+    cfg_path, config = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    (out / "metrics.csv").write_text("iteration,stage\n0,0\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    setattr(getattr(config, section), key, value)
+    save_run_config(config, cfg_path)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_export_needs_two_components_for_pair_mosaics(tmp_path, capsys):
+    cfg_path, config = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    from mpkrbm.params import init_params, save_checkpoint
+    from mpkrbm.preprocess import WhiteningTransform
+    config.model.subspace_dim = 1
+    n_visible = WhiteningTransform.load(tmp_path / "out" / "whitening.mpk").n_components
+    save_checkpoint(init_params(config.model.shape_for(n_visible), seed=0), {},
+                    tmp_path / "out" / "checkpoint.mpk")
+    assert main(["export", "--config", str(cfg_path), "--what", "C0"]) == 0
+    for what in ("C1", "amplitude", "phase", "P", "all"):
+        capsys.readouterr()
+        assert main(["export", "--config", str(cfg_path), "--what", what]) == 3, what
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "L=1" in err[0], err

@@ -82,3 +82,22 @@ def test_scalar_rank_zero(tmp_path):
     back = read_container(path)
     assert back["alpha"].shape == ()
     assert float(back["alpha"]) == 2.5
+
+
+def test_failed_write_leaves_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "checkpoint.mpk"
+    old = {"C": np.arange(6.0).reshape(2, 3), "alpha": np.float64(2.0)}
+    write_container(path, old)
+    before = path.read_bytes()
+    # the second tensor's name is too long, so the write fails after the
+    # header and the first tensor are out
+    with pytest.raises(FormatError):
+        write_container(path, {"C": np.zeros((2, 3)), "x" * 0x10000: np.zeros(1)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.mpk"]
+    back = read_container(path)
+    assert np.array_equal(back["C"], old["C"]) and back["alpha"] == 2.0
+
+    write_container(str(path), {"b": np.ones(2)})
+    assert list(read_container(path)) == ["b"]
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.mpk"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpkrbm.energy import free_energy
+from mpkrbm.energy import Workspace, free_energy
 from mpkrbm.errors import DataError, NumericError, ParameterError
 from mpkrbm.grad import (
     TINY_SHAPE,
@@ -190,3 +190,31 @@ def test_gradient_paths_reject_invalid_alpha(alpha):
         grad_free_energy_params(V, params)
     with pytest.raises(ParameterError):
         hmc_chain(V, params, HmcConfig(seed=0), 1)
+
+
+@pytest.mark.parametrize("with_phase", [True, False])
+def test_workspace_calls_return_arrays_of_their_own(with_phase):
+    # two calls through one workspace: the second must not touch what the
+    # first returned, and each must equal a call with a fresh workspace
+    params = random_tiny_params(24, alpha=1.5)
+    rng = np.random.default_rng(25)
+    V1, V2 = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    workspace = Workspace()
+
+    f1, g1 = free_energy_and_grad_v(V1, params, with_phase=with_phase, workspace=workspace)
+    kept = f1.copy(), g1.copy()
+    f2, g2 = free_energy_and_grad_v(V2, params, with_phase=with_phase, workspace=workspace)
+    assert np.array_equal(f1, kept[0]) and np.array_equal(g1, kept[1])
+    for (f, g), V in (((f1, g1), V1), ((f2, g2), V2)):
+        fresh_f, fresh_g = free_energy_and_grad_v(V, params, with_phase=with_phase)
+        assert np.array_equal(f, fresh_f) and np.array_equal(g, fresh_g)
+
+    p1 = grad_free_energy_params(V1, params, with_phase=with_phase, workspace=workspace)
+    kept = {name: getattr(p1, name).copy() for name in LEARNABLE_TENSORS + ("f_rows",)}
+    p2 = grad_free_energy_params(V2, params, with_phase=with_phase, workspace=workspace)
+    for name, value in kept.items():
+        assert np.array_equal(getattr(p1, name), value), name
+    for got, V in ((p1, V1), (p2, V2)):
+        fresh = grad_free_energy_params(V, params, with_phase=with_phase)
+        for name in kept:
+            assert np.array_equal(getattr(got, name), getattr(fresh, name)), name

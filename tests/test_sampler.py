@@ -57,6 +57,27 @@ def test_one_simulation_runs_one_forward_per_gradient(count_calls):
     assert f_calls["n"] == 0
 
 
+def test_simulations_carry_the_gradient_at_the_current_state(count_calls):
+    # the first simulation evaluates its start point; every later one starts
+    # where the last one left each row (accepted or rejected), whose F and
+    # dF/dv are known, and ends exactly where separate calls would
+    params = random_tiny_params(2)
+    v0 = np.random.default_rng(3).standard_normal((5, 4))
+    forwards = count_calls(energy, "_forward")
+    for k, n in ((1, 2), (3, 4), (20, 10)):
+        config = HmcConfig(n_leapfrog=k, seed=4, step_size=0.5)
+        forwards["n"] = 0
+        whole, stats = hmc_chain(v0, params, config, n)
+        assert forwards["n"] == n * k + 1
+        assert 0 < stats.accepted < stats.proposed
+
+        rng, v, step = np.random.default_rng(4), v0, None
+        for _ in range(n):
+            v, one = hmc_chain(v, params, config, 1, rng=rng, step_size=step)
+            step = one.current_step_size
+        assert np.array_equal(whole, v) and step == stats.current_step_size
+
+
 def test_small_step_limit_accepts():
     params = random_tiny_params(1)
     rng = np.random.default_rng(2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,25 @@ def test_metrics_are_the_free_energies_of_both_batches(with_phase):
     f_model = np.mean(free_energy(batch + offset, before, with_phase=with_phase))
     assert abs(metrics.f_data - f_data) <= 1e-12
     assert abs(metrics.f_model - f_model) <= 1e-12
+
+
+def test_model_pass_leaves_the_data_pass_intact():
+    # both parameter-gradient passes share one workspace; f_data and the
+    # update must equal those of passes with workspaces of their own
+    params, batch = small_setup(15)
+    config = TrainerConfig(batch_size=6, seed=0)
+    out, _, metrics = cd1_step(batch, params, config, HmcConfig(), 0.01,
+                               np.random.default_rng(4), negative_sampler=shift_sampler(0.3))
+    g_data = grad_free_energy_params(batch, params)
+    g_model = grad_free_energy_params(batch + 0.3, params)
+    assert metrics.f_data == float(np.mean(g_data.f_rows))
+    assert metrics.f_model == float(np.mean(g_model.f_rows))
+    expected = project_constraints(replace(params, **{
+        name: getattr(params, name) + config.lr_for(name) * (
+            getattr(g_model, name) - getattr(g_data, name))
+        for name in LEARNABLE_TENSORS}))
+    for name in LEARNABLE_TENSORS:
+        assert np.array_equal(getattr(out, name), getattr(expected, name)), name
 
 
 def test_cd1_step_takes_its_metrics_from_the_gradient_passes(count_calls):
