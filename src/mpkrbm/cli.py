@@ -1,17 +1,30 @@
-"""Command-line entry points.
+"""Command-line entry points. Each command takes only the flags it reads:
 
-Commands: preprocess, train, check, sample, synth, export. Exit codes:
-0 ok, 1 check failure, 2 data error, 3 shape error, 4 missing dependency
-file. MPK_THREADS caps only the patch-extraction pool of `preprocess`.
-BLAS threads follow OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, which must be
-set before the process starts: numpy loads its BLAS when `mpkrbm` is
-imported, and later changes to them have no effect.
+  preprocess --config --seed --out: extract patches and fit whitening.
+  train --config --seed --resume --iterations --out: the staged CD-1 schedule from the
+      --resume checkpoint (default: a new model), for at most --iterations more iterations.
+  check --seed --json: gradient, enumeration and sampler self-checks.
+  sample --config --seed --resume --iterations --out: --iterations HMC simulations
+      (default 100) from the --resume checkpoint.
+  synth --config --seed --out: a phase-coupled synthetic dataset.
+  export --config --resume --out --what: the --what mosaics of the --resume checkpoint.
+
+A command writes to --out (default: [paths] out_dir) and reads [paths] or
+--resume; the patches, whitening and checkpoint files default to
+<out_dir>/<name>.mpk. --seed sets the seed of the command's config section.
+A resumed `train` matches an uninterrupted run bit for bit, metrics.csv too.
+
+Exit codes: 0 ok, 1 check failure, 2 data error or bad command line, 3 shape
+or parameter error, 4 missing dependency file. MPK_THREADS caps only the
+patch-extraction pool of `preprocess`; BLAS threads follow OPENBLAS_NUM_THREADS
+or OMP_NUM_THREADS as set before the process starts.
 """
 
 import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -24,7 +37,7 @@ from .errors import DataError, MissingFileError, MpkError, ParameterError, Shape
 from .grad import check_gradients, random_tiny_params
 from .params import init_params, load_checkpoint
 from .preprocess import WhiteningTransform, extract_patches, fit_whitening
-from .sampler import HmcConfig, HmcStats, gaussian_moment_probe, hmc_chain
+from .sampler import HmcStats, gaussian_moment_probe, hmc_chain
 from .trainer import default_stages, train
 
 
@@ -44,16 +57,32 @@ def max_workers():
 
 
 def _load_config(args, required=True):
-    if args.config:
-        return load_run_config(args.config)
-    if required:
+    """The run configuration of --config (the defaults where the command may
+    run without one), with --seed set in the command's own config section."""
+    if not args.config and required:
         raise MissingFileError("this command needs --config PATH")
-    return RunConfig()
+    config = load_run_config(args.config) if args.config else RunConfig()
+    section = COMMANDS[args.command].seed_section
+    if section and args.seed is not None:
+        getattr(config, section).seed = args.seed
+    return config
+
+
+def _out_dir(args, config):
+    """Where the command writes: --out, else [paths] out_dir; created."""
+    out_dir = Path(args.out or config.paths.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _existing(path, what):
+    if not Path(path).exists():
+        raise MissingFileError(f"{what} not found: {path}")
+    return path
 
 
 def cmd_preprocess(args):
     config = _load_config(args)
-    seed = config.data.seed if args.seed is None else args.seed
     data_dir = Path(config.paths.data_dir)
     images = sorted(p for p in data_dir.glob("*") if p.suffix.lower() in (".ppm", ".pgm"))
     if not images:
@@ -64,7 +93,7 @@ def cmd_preprocess(args):
     def pull(pair):
         idx, path = pair
         return extract_patches(pnm.read_pnm(path), config.data.patch_size,
-                               per_image, seed + idx)
+                               per_image, config.data.seed + idx)
 
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:
         chunks = list(pool.map(pull, enumerate(images)))
@@ -78,35 +107,23 @@ def cmd_preprocess(args):
     whitening = fit_whitening(patches, config.data.variance_fraction,
                               patch_size=config.data.patch_size, channels=channels)
 
-    out_dir = Path(args.out or config.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    patches_path = config.paths.patches or str(out_dir / "patches.mpk")
-    whitening_path = config.paths.whitening or str(out_dir / "whitening.mpk")
+    out_dir = _out_dir(args, config)
+    patches_path = config.paths.run_file("patches", out_dir)
     container.write_container(patches_path, {"patches": patches})
-    whitening.save(whitening_path)
+    whitening.save(config.paths.run_file("whitening", out_dir))
     print(f"patches: {patches.shape[0]} x {patches.shape[1]} -> {patches_path}")
     print(f"whitened dimensionality D = {whitening.n_components}")
     print(f"retained variance fraction = {whitening.variance_fraction:.6f}")
     return 0
 
 
-def _load_patch_matrix(config):
-    patches_path = config.paths.patches or str(Path(config.paths.out_dir) / "patches.mpk")
-    if not Path(patches_path).exists():
-        raise MissingFileError(f"patch file not found: {patches_path}")
-    patches = container.read_container(patches_path)["patches"]
-    whitening_path = config.paths.whitening or str(Path(config.paths.out_dir) / "whitening.mpk")
-    if Path(whitening_path).exists():
-        whitening = WhiteningTransform.load(whitening_path)
-        patches = whitening.apply(patches)
-    return patches
-
-
 def cmd_train(args):
     config = _load_config(args)
-    if args.seed is not None:
-        config.trainer.seed = args.seed
-    patches = _load_patch_matrix(config)
+    patches_path = _existing(config.paths.run_file("patches"), "patch file")
+    patches = container.read_container(patches_path)["patches"]
+    whitening_path = config.paths.run_file("whitening")
+    if Path(whitening_path).exists():
+        patches = WhiteningTransform.load(whitening_path).apply(patches)
     n_visible = patches.shape[1]
     if config.model.n_visible and config.model.n_visible != n_visible:
         raise ShapeError(
@@ -114,29 +131,23 @@ def cmd_train(args):
 
     stages = default_stages(config.trainer.stage_iterations)
     if args.resume:
-        if not Path(args.resume).exists():
-            raise MissingFileError(f"checkpoint not found: {args.resume}")
-        params, opt = load_checkpoint(args.resume)
-        start_iteration = int(opt.get("iteration", 0))
-        step_size = opt.get("step_size", config.hmc.step_size)
-        if params.C.shape[0] != n_visible:
-            raise ShapeError(
-                f"checkpoint D={params.C.shape[0]} does not match patches D={n_visible}")
-    else:
-        shape = config.model.shape_for(n_visible)
-        params = init_params(shape, config.trainer.seed, alpha=config.model.alpha)
-        start_iteration = 0
-        step_size = None
+        params, opt = load_checkpoint(_existing(args.resume, "checkpoint"))
+    else:   # a new model, with the state of iteration 0
+        params, opt = init_params(config.model.shape_for(n_visible), config.trainer.seed,
+                                  alpha=config.model.alpha), {}
+    if params.C.shape[0] != n_visible:
+        raise ShapeError(
+            f"checkpoint D={params.C.shape[0]} does not match patches D={n_visible}")
+    start_iteration = int(opt.get("iteration", 0))
 
-    out_dir = Path(args.out or config.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    checkpoint_path = config.paths.checkpoint or str(out_dir / "checkpoint.mpk")
+    out_dir = _out_dir(args, config)
+    checkpoint_path = config.paths.run_file("checkpoint", out_dir)
     params, history = train(
         patches, config.trainer, stages, hmc_config=config.hmc,
         checkpoint_path=checkpoint_path, metrics_path=str(out_dir / "metrics.csv"),
         start_iteration=start_iteration, initial_params=params,
-        initial_step_size=step_size, max_iterations=args.iterations,
-        log_fn=print,
+        initial_step_size=opt.get("step_size", config.hmc.step_size),
+        max_iterations=args.iterations, log_fn=print,
     )
     final = history[-1].iteration + 1 if history else start_iteration
     print(f"trained through iteration {final}; checkpoint -> {checkpoint_path}")
@@ -145,8 +156,9 @@ def cmd_train(args):
 
 def cmd_check(args):
     report = {"checks": {}, "passed": True}
+    seed = 0 if args.seed is None else args.seed
 
-    grad_report = check_gradients(seed=0 if args.seed is None else args.seed)
+    grad_report = check_gradients(seed=seed)
     report["checks"]["gradients"] = {
         "passed": grad_report.passed,
         "max_rel_err": grad_report.max_rel_err,
@@ -165,8 +177,7 @@ def cmd_check(args):
     }
 
     # HMC on the standard Gaussian reached when every parameter is zero
-    probe = gaussian_moment_probe(n_chains=200, burn=350, keep=60,
-                                  seed=0 if args.seed is None else args.seed)
+    probe = gaussian_moment_probe(n_chains=200, burn=350, keep=60, seed=seed)
     ok = (np.all(probe["mean_abs"] <= probe["mean_4se"])
           and np.all(probe["var_abs_err"] <= probe["var_4se"])
           and 0.0 <= probe["rejection_rate"] <= 0.35)
@@ -205,26 +216,19 @@ def _enumeration_gap(v, params):
 def cmd_sample(args):
     if not args.resume:
         raise MissingFileError("sample needs --resume CHECKPOINT")
-    if not Path(args.resume).exists():
-        raise MissingFileError(f"checkpoint not found: {args.resume}")
+    checkpoint_path = _existing(args.resume, "checkpoint")
     config = _load_config(args, required=False)
-    params, opt = load_checkpoint(args.resume)
-    hmc_config = config.hmc
-    if args.seed is not None:
-        hmc_config.seed = args.seed
-    n_sims = args.iterations or 100
-    rng = np.random.default_rng(hmc_config.seed)
+    params, opt = load_checkpoint(checkpoint_path)
+    rng = np.random.default_rng(config.hmc.seed)
     v = rng.standard_normal((64, params.C.shape[0])) * 0.1
-    step = opt.get("step_size", hmc_config.step_size)
+    step = opt.get("step_size", config.hmc.step_size)
 
     print(HmcStats.csv_header())
-    v, stats = hmc_chain(v, params, hmc_config, n_sims, rng=rng, step_size=step)
+    v, stats = hmc_chain(v, params, config.hmc, args.iterations, rng=rng, step_size=step)
     for line in stats.csv_lines():
         print(line)
 
-    out_dir = Path(args.out or config.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "samples.mpk"
+    out_path = _out_dir(args, config) / "samples.mpk"
     container.write_container(out_path, {"samples": v})
     print(f"samples -> {out_path}")
     return 0
@@ -232,10 +236,7 @@ def cmd_sample(args):
 
 def cmd_synth(args):
     config = _load_config(args)
-    seed = config.synth.seed if args.seed is None else args.seed
-    out_dir = Path(args.out or config.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "synthetic.mpk"
+    out_path = _out_dir(args, config) / "synthetic.mpk"
     synth.write_coupled_dataset(
         out_path,
         patch_size=config.synth.patch_size,
@@ -244,30 +245,27 @@ def cmd_synth(args):
         count=config.synth.n_patches,
         amplitude=config.synth.amplitude,
         noise_sigma=config.synth.noise_sigma,
-        seed=seed,
+        seed=config.synth.seed,
     )
     print(f"synthetic dataset -> {out_path}")
     return 0
 
 
+EXPORT_TARGETS = ("C0", "C1", "W", "amplitude", "phase", "P", "Q", "R")
+
+
 def cmd_export(args):
     config = _load_config(args)
-    checkpoint_path = args.resume or config.paths.checkpoint \
-        or str(Path(config.paths.out_dir) / "checkpoint.mpk")
-    if not Path(checkpoint_path).exists():
-        raise MissingFileError(f"checkpoint not found: {checkpoint_path}")
-    whitening_path = config.paths.whitening or str(Path(config.paths.out_dir) / "whitening.mpk")
-    if not Path(whitening_path).exists():
-        raise MissingFileError(f"whitening file required for export: {whitening_path}")
+    checkpoint_path = _existing(args.resume or config.paths.run_file("checkpoint"), "checkpoint")
+    whitening_path = _existing(config.paths.run_file("whitening"), "whitening file")
     params, _ = load_checkpoint(checkpoint_path)
     whitening = WhiteningTransform.load(whitening_path)
     if whitening.patch_size == 0:
         raise DataError("whitening file carries no patch geometry")
 
-    out_dir = Path(args.out or config.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, config)
     what = args.what or config.export.what
-    wanted = ("C0", "C1", "W", "amplitude", "phase", "P", "Q", "R") if what == "all" else (what,)
+    wanted = EXPORT_TARGETS if what == "all" else (what,)
     color = whitening.channels == 3
     max_cols = config.export.max_columns
 
@@ -288,52 +286,57 @@ def cmd_export(args):
     return 0
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="run configuration file")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--resume", default=None, help="checkpoint to resume/sample from")
-    common.add_argument("--iterations", type=int, default=None,
-                        help="cap or count of iterations/simulations")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+FLAGS = {
+    "--config": dict(help="run configuration file"),
+    "--seed": dict(type=int, help="override the seed"),
+    "--resume": dict(help="checkpoint to start from"),
+    "--iterations": dict(type=int, help="iterations (train) or HMC simulations (sample)"),
+    "--out": dict(help="output directory (default: [paths] out_dir)"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--what": dict(choices=("all",) + EXPORT_TARGETS,
+                   help="mosaics to write (default: [export] what)"),
+}
 
+# seed_section: the config section whose seed --seed sets
+Command = namedtuple("Command", "run help flags seed_section defaults", defaults=(None, {}))
+COMMANDS = {
+    "preprocess": Command(cmd_preprocess, "extract patches and fit whitening",
+                          "--config --seed --out", "data"),
+    "train": Command(cmd_train, "run the staged CD-1 schedule",
+                     "--config --seed --resume --iterations --out", "trainer"),
+    "check": Command(cmd_check, "gradient, enumeration and sampler self-checks",
+                     "--seed --json"),
+    "sample": Command(cmd_sample, "draw HMC samples from a checkpoint",
+                      "--config --seed --resume --iterations --out", "hmc", {"iterations": 100}),
+    "synth": Command(cmd_synth, "generate a phase-coupled synthetic dataset",
+                     "--config --seed --out", "synth"),
+    "export": Command(cmd_export, "write filter mosaics as PPM/PGM",
+                      "--config --resume --out --what"),
+}
+
+
+def build_parser():
     parser = argparse.ArgumentParser(prog="mpkrbm",
                                      description="Factorized third-order Boltzmann machines "
                                                  "with subspace pooling and phase coupling")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("preprocess", parents=[common], help="extract patches and fit whitening")
-    sub.add_parser("train", parents=[common], help="run the staged CD-1 schedule")
-    sub.add_parser("check", parents=[common], help="gradient, enumeration and sampler self-checks")
-    sub.add_parser("sample", parents=[common], help="draw HMC samples from a checkpoint")
-    sub.add_parser("synth", parents=[common], help="generate a phase-coupled synthetic dataset")
-    export = sub.add_parser("export", parents=[common], help="write filter mosaics as PPM/PGM")
-    export.add_argument("--what", default=None,
-                        choices=["all", "C0", "C1", "W", "amplitude", "phase", "P", "Q", "R"])
+    for name, command in COMMANDS.items():
+        command_parser = sub.add_parser(name, help=command.help)
+        for flag in command.flags.split():
+            command_parser.add_argument(flag, **FLAGS[flag])
+        command_parser.set_defaults(**command.defaults)
     return parser
 
 
-COMMANDS = {
-    "preprocess": cmd_preprocess,
-    "train": cmd_train,
-    "check": cmd_check,
-    "sample": cmd_sample,
-    "synth": cmd_synth,
-    "export": cmd_export,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except MpkError as exc:
+        if getattr(args, "iterations", None) is not None and args.iterations < 1:
+            raise ParameterError(f"--iterations must be at least 1, got {args.iterations}")
+        return COMMANDS[args.command].run(args)
+    except (MpkError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 4)
 
 
 if __name__ == "__main__":

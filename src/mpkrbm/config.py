@@ -6,6 +6,7 @@ effective configuration.
 """
 
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 from .errors import ConfigError
 from .params import ModelShape
@@ -21,6 +22,12 @@ class PathsConfig:
     patches: str = ""
     whitening: str = ""
     checkpoint: str = ""
+
+    def run_file(self, name, out_dir=None):
+        """The path of run file `name` (patches, whitening or checkpoint):
+        its own entry if set, else <out_dir>/<name>.mpk, where out_dir
+        defaults to this section's out_dir."""
+        return getattr(self, name) or str(Path(out_dir or self.out_dir) / f"{name}.mpk")
 
 
 @dataclass

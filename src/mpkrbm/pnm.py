@@ -53,8 +53,8 @@ def read_pnm(path):
     return img.reshape(height, width, 3)
 
 
-def write_pnm(path, image, maxval=255):
-    """Write a (H, W) array as PGM or (H, W, 3) as PPM, 8-bit."""
+def write_pnm(path, image):
+    """Write a (H, W) array as PGM or (H, W, 3) as PPM, 8-bit (maxval 255)."""
     arr = np.asarray(image)
     if arr.ndim == 2:
         magic = b"P5"
@@ -62,8 +62,8 @@ def write_pnm(path, image, maxval=255):
         magic = b"P6"
     else:
         raise DataError(f"cannot write array of shape {arr.shape} as PNM")
-    data = np.clip(np.rint(arr), 0, maxval).astype(np.uint8)
+    data = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(magic + b"\n")
-        fh.write(f"{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode())
+        fh.write(f"{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
         fh.write(data.tobytes())

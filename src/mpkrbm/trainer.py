@@ -213,12 +213,7 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
     params = initial_params
     step_size = hmc_config.step_size if initial_step_size is None else initial_step_size
 
-    metrics_fh = None
-    if metrics_path is not None:
-        fresh = start_iteration == 0
-        metrics_fh = open(metrics_path, "w" if fresh else "a")
-        if fresh:
-            metrics_fh.write(StepMetrics.csv_header() + "\n")
+    metrics_fh = None if metrics_path is None else _open_metrics(metrics_path, start_iteration)
 
     history = []
     consecutive_failures = 0
@@ -254,6 +249,8 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
             if metrics_fh:
                 metrics_fh.write(metrics.csv_line() + "\n")
             if checkpoint_path and (it + 1) % config.checkpoint_every == 0:
+                if metrics_fh:
+                    metrics_fh.flush()      # a resume from here needs every earlier row
                 _write_checkpoint(params, checkpoint_path, it + 1, stage_idx, step_size)
     finally:
         if metrics_fh:
@@ -262,6 +259,31 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
     if checkpoint_path:
         _write_checkpoint(params, checkpoint_path, total, stage_idx, step_size)
     return params, history
+
+
+def _open_metrics(path, start_iteration):
+    """The metrics file, open for the rows from `start_iteration` on: a new
+    file with its header for a run from 0; for a resumed run, the existing
+    file cut to its header and the whole rows before `start_iteration`, so
+    rows an interrupted run wrote after its checkpoint, or a row torn by a
+    kill, are not kept."""
+    if start_iteration == 0:
+        kept = [StepMetrics.csv_header() + "\n"]
+    else:
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except FileNotFoundError:
+            lines = []
+        try:
+            kept = lines[:1] + [line for line in lines[1:]
+                                if line.endswith("\n")
+                                and int(line.split(",", 1)[0]) < start_iteration]
+        except ValueError as exc:
+            raise DataError(f"{path}: a row does not start with an iteration number") from exc
+    fh = open(path, "w")
+    fh.writelines(kept)
+    return fh
 
 
 def _write_checkpoint(params, path, iteration, stage, step_size):

@@ -10,6 +10,9 @@ import numpy as np
 from .energy import phase_coupling_matrix
 from .errors import ShapeError
 
+GAP = 1              # mosaic pixels between tiles and around the grid
+GAP_VALUE = 128.0    # gray level of those pixels
+
 
 def pixel_tiles(filters, whitening):
     """Whitened-domain filters (rows of `filters`) as display tiles in the
@@ -26,7 +29,7 @@ def _scale_tile(tile):
     return (tile - lo) / (hi - lo) * 255.0
 
 
-def mosaic(tiles, n_columns=None, gap=1, gap_value=128.0):
+def mosaic(tiles, n_columns=None):
     """Tile equally-shaped images (a list or a stacked array) into one grid
     image with per-tile min-max scaling to 0..255."""
     if len(tiles) == 0:
@@ -39,12 +42,12 @@ def mosaic(tiles, n_columns=None, gap=1, gap_value=128.0):
     cols = n_columns or int(np.ceil(np.sqrt(n)))
     rows = int(np.ceil(n / cols))
     th, tw = shape[0], shape[1]
-    out_shape = (rows * (th + gap) + gap, cols * (tw + gap) + gap) + shape[2:]
-    out = np.full(out_shape, gap_value)
+    out_shape = (rows * (th + GAP) + GAP, cols * (tw + GAP) + GAP) + shape[2:]
+    out = np.full(out_shape, GAP_VALUE)
     for idx, tile in enumerate(tiles):
         r, c = divmod(idx, cols)
-        y = gap + r * (th + gap)
-        x = gap + c * (tw + gap)
+        y = GAP + r * (th + GAP)
+        x = GAP + c * (tw + GAP)
         out[y:y + th, x:x + tw] = _scale_tile(tile)
     return out
 
@@ -145,7 +148,7 @@ def group_tiles(params, whitening, kind, n_top=6, max_columns=32):
     return [[tiles[i] for i in idx] for idx in picks]
 
 
-def rows_to_mosaic(rows, gap=1):
+def rows_to_mosaic(rows):
     """Lay out per-column tile rows as one mosaic (one row per column)."""
     flat = [tile for row in rows for tile in row]
-    return mosaic(flat, n_columns=max(len(r) for r in rows), gap=gap)
+    return mosaic(flat, n_columns=max(len(r) for r in rows))

@@ -1,11 +1,18 @@
+import argparse
 import hashlib
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpkrbm
+import mpkrbm.trainer as trainer_module
 from mpkrbm import pnm
-from mpkrbm.cli import main, max_workers
+from mpkrbm.cli import build_parser, main, max_workers
 from mpkrbm.config import RunConfig, load_run_config, parse_run_config, save_run_config
 from mpkrbm.errors import ConfigError, ParameterError
 
@@ -213,6 +220,23 @@ def test_train_bad_config_value_exit_3(tmp_path, capsys, section, key, value):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_paths_entries_place_the_run_files(tmp_path):
+    cfg_path, config = base_config(tmp_path)
+    files = tmp_path / "files"
+    files.mkdir()
+    config.paths.patches = str(files / "p.mpk")
+    config.paths.whitening = str(files / "w.mpk")
+    config.paths.checkpoint = str(files / "c.mpk")
+    save_run_config(config, cfg_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--iterations", "4"]) == 0
+    assert main(["export", "--config", str(cfg_path), "--what", "W"]) == 0
+    assert sorted(p.name for p in files.iterdir()) == ["c.mpk", "p.mpk", "w.mpk"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["filters_W.ppm",
+                                                                     "metrics.csv"]
+
+
 def test_train_without_patches_exit_4(tmp_path):
     path, _ = base_config(tmp_path)
     assert main(["train", "--config", str(path)]) == 4
@@ -314,3 +338,139 @@ def test_export_needs_two_components_for_pair_mosaics(tmp_path, capsys):
         assert main(["export", "--config", str(cfg_path), "--what", what]) == 3, what
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "L=1" in err[0], err
+
+
+# Every flag and the commands that read it: a command accepts exactly these.
+READS = {
+    "--config": {"preprocess", "train", "sample", "synth", "export"},
+    "--seed": {"preprocess", "train", "check", "sample", "synth"},
+    "--resume": {"train", "sample", "export"},
+    "--iterations": {"train", "sample"},
+    "--out": {"preprocess", "train", "sample", "synth", "export"},
+    "--json": {"check"},
+    "--what": {"export"},
+}
+FLAG_ARGV = {"--config": ["missing.cfg"], "--seed": ["3"], "--resume": ["ck.mpk"],
+             "--iterations": ["2"], "--out": ["out"], "--json": [], "--what": ["all"]}
+COMMAND_NAMES = ("preprocess", "train", "check", "sample", "synth", "export")
+
+
+def test_parser_has_exactly_the_22_pairs():
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    pairs = {(name, flag) for name, parser in commands.items() for action in parser._actions
+             for flag in action.option_strings if flag not in ("-h", "--help")}
+    assert pairs == {(name, flag) for flag, names in READS.items() for name in names}
+    assert len(pairs) == 22
+
+
+@pytest.mark.parametrize("flag", sorted(READS))
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_command_takes_only_the_flags_it_reads(capsys, command, flag):
+    argv = [command, flag] + FLAG_ARGV[flag]
+    if command in READS[flag]:
+        args = build_parser().parse_args(argv)
+        assert args.command == command
+    else:
+        # rejected by the parser before any command runs, e.g. check --config missing.cfg
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"unrecognized arguments: {flag}" in err
+
+
+def test_sample_iterations_default_to_100():
+    assert build_parser().parse_args(["sample"]).iterations == 100
+    assert build_parser().parse_args(["train"]).iterations is None
+
+
+def test_benchmark_argv_forms_run(tmp_path, capsys):
+    # the argument lists perfbench/workloads.py hands to main()
+    from mpkrbm.params import ModelShape, init_params, save_checkpoint
+
+    cfg_path, _ = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path), "--seed", "3",
+                 "--out", str(tmp_path / "pre")]) == 0
+    assert (tmp_path / "pre" / "patches.mpk").exists()
+    ck = tmp_path / "ck.mpk"
+    save_checkpoint(init_params(ModelShape(6, 2, 2, 2, 2, 2, 2), seed=0), {"step_size": 0.05}, ck)
+    assert main(["sample", "--resume", str(ck), "--seed", "3", "--out", str(tmp_path / "s"),
+                 "--iterations", "2"]) == 0
+    assert (tmp_path / "s" / "samples.mpk").exists()
+
+
+@pytest.mark.parametrize("iterations", ["0", "-3"])
+@pytest.mark.parametrize("command", ["train", "sample"])
+def test_non_positive_iterations_exit_3_and_write_nothing(tmp_path, capsys, command,
+                                                          iterations):
+    cfg_path, _ = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    out = tmp_path / "out"
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--iterations", "6"]) == 0
+    ck = str(out / "checkpoint.mpk")
+    assert main(["sample", "--resume", ck, "--iterations", "1", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"checkpoint.mpk", "metrics.csv", "samples.mpk"} <= set(before)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path), "--resume", ck,
+                 "--iterations", iterations, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --iterations must be at least 1, got {iterations}"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+KILL_AT_ITERATION_6 = """
+import os, signal, sys
+import mpkrbm.trainer as trainer
+from mpkrbm.cli import main
+step = trainer.cd1_step
+def killed_at_6(*args, **kwargs):
+    if kwargs["iteration"] == 6:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return step(*args, **kwargs)
+trainer.cd1_step = killed_at_6
+main(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("stop", ["exception", "kill"])
+def test_resume_after_a_stop_between_checkpoints_is_exact(tmp_path, monkeypatch, stop):
+    cfg_path, config = base_config(tmp_path)
+    config.trainer.checkpoint_every = 4
+    save_run_config(config, cfg_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    full, cut = tmp_path / "full", tmp_path / "cut"
+    assert main(["train", "--config", str(cfg_path), "--out", str(full)]) == 0
+
+    train_argv = ["train", "--config", str(cfg_path), "--out", str(cut)]
+    if stop == "exception":
+        step = trainer_module.cd1_step
+
+        def fails_at_6(*args, **kwargs):
+            if kwargs["iteration"] == 6:
+                raise RuntimeError("stopped at iteration 6")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "cd1_step", fails_at_6)
+        with pytest.raises(RuntimeError):
+            main(train_argv)
+        monkeypatch.undo()
+    else:
+        env = dict(os.environ, PYTHONPATH=str(Path(mpkrbm.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", KILL_AT_ITERATION_6] + train_argv,
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        # a kill can also leave the row being flushed torn: this one reads as iteration 1
+        with open(cut / "metrics.csv", "a") as fh:
+            fh.write("1")
+    rows = (cut / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows][:4] == ["0", "1", "2", "3"]
+
+    assert main(["train", "--config", str(cfg_path), "--resume", str(cut / "checkpoint.mpk"),
+                 "--out", str(cut)]) == 0
+    assert (cut / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
+    assert checksum(cut / "checkpoint.mpk") == checksum(full / "checkpoint.mpk")

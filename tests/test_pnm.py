@@ -44,3 +44,10 @@ def test_truncated_pixels(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(FormatError):
         read_pnm(path)
+
+
+def test_write_clips_to_8_bit(tmp_path):
+    path = tmp_path / "x.pgm"
+    write_pnm(path, np.array([[-5.0, 300.4], [127.6, 255.0]]))
+    assert path.read_bytes().startswith(b"P5\n2 2\n255\n")
+    assert np.array_equal(read_pnm(path), [[0.0, 255.0], [128.0, 255.0]])

@@ -110,7 +110,7 @@ def test_group_tiles_rows_follow_p_q_and_r():
 
 def test_mosaic_layout_and_scaling():
     tiles = [np.array([[0.0, 1.0], [2.0, 3.0]]), np.full((2, 2), 7.0)]
-    img = mosaic(tiles, n_columns=2, gap=1, gap_value=128.0)
+    img = mosaic(tiles, n_columns=2)
     assert img.shape == (4, 7)
     assert img[0, 0] == 128.0                 # border
     assert img[1, 1] == 0.0 and img[2, 2] == 255.0
