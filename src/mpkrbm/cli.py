@@ -12,7 +12,10 @@
 A command writes to --out (default: [paths] out_dir) and reads [paths] or
 --resume; the patches, whitening and checkpoint files default to
 <out_dir>/<name>.mpk. --seed sets the seed of the command's config section.
-A resumed `train` matches an uninterrupted run bit for bit, metrics.csv too.
+A resumed `train` matches an uninterrupted run bit for bit, metrics.csv too,
+when it runs with the same BLAS thread count: the checkpoint records the
+count (when numpy's BLAS is OpenBLAS) and `train --resume` warns when it
+differs.
 
 Exit codes: 0 ok, 1 check failure, 2 data error or bad command line, 3 shape
 or parameter error, 4 missing dependency file. MPK_THREADS caps only the
@@ -24,13 +27,14 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import container, pnm, synth, viz
+from . import blas, container, pnm, synth, viz
 from .config import RunConfig, load_run_config
 from .energy import free_energy, total_energy
 from .errors import DataError, MissingFileError, MpkError, ParameterError, ShapeError
@@ -132,6 +136,10 @@ def cmd_train(args):
     stages = default_stages(config.trainer.stage_iterations)
     if args.resume:
         params, opt = load_checkpoint(_existing(args.resume, "checkpoint"))
+        recorded, threads = opt.get("blas_threads"), blas.threads()
+        if None not in (recorded, threads) and recorded != threads:
+            warnings.warn(f"{args.resume} was written with {recorded:g} BLAS threads, this run "
+                          f"has {threads}: it will not match an uninterrupted run bit for bit")
     else:   # a new model, with the state of iteration 0
         params, opt = init_params(config.model.shape_for(n_visible), config.trainer.seed,
                                   alpha=config.model.alpha), {}

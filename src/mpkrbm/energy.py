@@ -34,7 +34,9 @@ functions are never workspace buffers; the views here each run on a
 fresh workspace, so what they return is the caller's alone.
 
 All public operations are pure functions of (v, params); v may be a single
-vector (D,) or rows with any leading shape (..., D).
+vector (D,) or rows with any leading shape (..., D). They run in the dtype
+of the params: float64 everywhere but the HMC trajectory, whose gradients
+`sampler.hmc_chain` takes from a float32 copy.
 """
 
 from dataclasses import dataclass
@@ -54,22 +56,34 @@ class Workspace:
 
     Whoever creates a workspace owns it and passes it to one call after
     another; each call overwrites what the last one left there. A buffer
-    is allocated on the first request for its name and shape, so a caller
-    that evaluates one batch shape many times allocates once. "tmp" and
-    "tmp2" are scratch: each use ends before the next request for the
-    same name and shape. The functions that take a workspace return only
-    arrays of their own, never one of its buffers; a call given none works
-    in a fresh one that nothing else holds.
+    is allocated on the first request for its name, shape and dtype, so a
+    caller that evaluates one batch shape many times allocates once.
+    "tmp" and "tmp2" are scratch: each use ends before the next request
+    for the same name and shape. The functions that take a workspace
+    return only arrays of their own, never one of its buffers; a call
+    given none works in a fresh one that nothing else holds.
+
+    `dtype` is the type of a request that names none. `_forward` works in
+    the dtype of its params through `as_dtype`, a view that shares the
+    buffers, so one workspace serves a float32 and a float64 caller side
+    by side (`sampler.hmc_chain` runs both) and the two never share a
+    buffer.
     """
 
-    def __init__(self):
-        self._buffers = {}
+    def __init__(self, dtype=np.float64, buffers=None):
+        self.dtype = np.dtype(dtype)
+        self._buffers = {} if buffers is None else buffers
 
-    def __call__(self, name, shape, dtype=np.float64):
-        key = (name, shape, dtype)
+    def as_dtype(self, dtype):
+        """These buffers, with `dtype` the type of a request that names none."""
+        dtype = np.dtype(dtype)
+        return self if dtype == self.dtype else Workspace(dtype, self._buffers)
+
+    def __call__(self, name, shape, dtype=None):
+        key = (name, shape, self.dtype if dtype is None else dtype)
         buf = self._buffers.get(key)
         if buf is None:
-            buf = self._buffers[key] = np.empty(shape, dtype)
+            buf = self._buffers[key] = np.empty(shape, key[2])
         return buf
 
 
@@ -133,8 +147,11 @@ def _forward(v, params, with_phase=True, normalize=True, workspace=None):
     normalized patch). `lead` is the caller's leading shape; `_view`
     restores it on any per-row result. The intermediates live in
     `workspace` (a fresh one if none is given) until its next use.
+
+    The pass runs in the dtype of the params, to which v is cast: float64
+    params give float64 intermediates, float32 ones float32.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = np.asarray(v, dtype=params.C.dtype)
     D, F, L = params.C.shape
     if v.shape[-1] != D:
         raise ShapeError(f"visible dim {v.shape[-1]} != model D={D}")
@@ -143,7 +160,7 @@ def _forward(v, params, with_phase=True, normalize=True, workspace=None):
     if with_phase and L != 2:
         raise ParameterError(f"phase units require subspace dimension L = 2, got L={L}")
 
-    ws = Workspace() if workspace is None else workspace
+    ws = (Workspace() if workspace is None else workspace).as_dtype(v.dtype)
     fw = SimpleNamespace(lead=v.shape[:-1], with_phase=with_phase, ws=ws)
     V = fw.V = v.reshape(-1, D)
     B = V.shape[0]

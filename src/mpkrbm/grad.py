@@ -88,7 +88,7 @@ def free_energy_and_grad_v(v, params, with_phase=True, workspace=None):
     """(F, dF/dv) from one forward pass: F as `energy.free_energy` gives
     it, dF/dv with the shape of v. Both are new arrays, whether or not
     the caller passes a `workspace` (an `energy.Workspace`) for the
-    intermediates.
+    intermediates, and both have the dtype of the params.
 
     Finite for any finite v: the amplitude regularizer and the
     constant-scale treatment below the normalization floor keep every

@@ -12,8 +12,11 @@ The model family is parameterized by
     b_k  (T,)       phase hidden biases
     b_v  (D,)       visible biases
 
-plus the pooling exponent alpha; L is C.shape[2]. Everything is float64;
-ModelParams is treated as an immutable value between updates.
+plus the pooling exponent alpha; L is C.shape[2]. The parameters are
+float64: training, checkpoints and samples all hold float64 tensors. The
+one float32 copy is `astype(np.float32)`, which `sampler.hmc_chain` makes
+once per call for its leapfrog gradients. ModelParams is treated as an
+immutable value between updates.
 """
 
 import warnings
@@ -77,6 +80,10 @@ class ModelParams:
 
     def copy(self):
         return replace(self, **{n: t.copy() for n, t in self.tensors().items()})
+
+    def astype(self, dtype):
+        """A copy with every tensor cast to `dtype`; alpha stays a float."""
+        return replace(self, **{n: t.astype(dtype) for n, t in self.tensors().items()})
 
     def tensors(self):
         return {name: getattr(self, name) for name in LEARNABLE_TENSORS}

@@ -6,13 +6,24 @@ H = F(v) + 1/2 ||p||^2 and applies a Metropolis correction; a shared step
 size adapts multiplicatively toward a target rejection rate after every
 simulation. Rows whose Hamiltonian turns non-finite are rejected and
 counted as divergences, and the step size is halved for that batch.
+
+Mixed precision. The trajectory only has to be a deterministic,
+reversible, volume-preserving map; the Metropolis test on the exact H is
+what leaves the target invariant, whatever gradient drove the map (Neal
+2011, "MCMC using Hamiltonian dynamics", section 5.5). So `hmc_chain`
+takes every leapfrog gradient from a float32 copy of the params, made
+once per call, and casts it back to float64; v and p stay float64. H at
+the start and end points comes from a float64 F, so the test is as exact
+as the float64 model: a float32 F is off by up to about 1e-3 nats at the
+paper shape, where |F| is in the hundreds, and that error would enter
+every delta H. Samples, like the params, are float64.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import Workspace
+from .energy import Workspace, _forward
 from .errors import ParameterError
 from .grad import free_energy_and_grad_v
 
@@ -80,11 +91,14 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
     chain across calls). A caller-supplied `rng` preserves its stream, so
     repeated 1-simulation calls match one n-simulation call exactly.
 
-    Every gradient call of every simulation fills one workspace. F and
-    dF/dv at the current state carry over from one simulation to the
-    next: an accepted row sits where the last gradient was taken, a
-    rejected one where the first was. So n simulations of K leapfrog
-    steps run n*K + 1 forward passes.
+    Every forward pass of every simulation fills one workspace: the
+    float32 gradients and the float64 F of the Hamiltonian each keep their
+    own buffers in it. F and dF/dv at the current state carry over from
+    one simulation to the next: an accepted row sits where the last
+    gradient and the end point's F were taken, a rejected one where the
+    first gradient and the start point's F were. So n simulations of K
+    leapfrog steps run n*K + 1 float32 gradient forwards and n + 1 float64
+    F-only forwards.
     """
     config.validate()
     if rng is None:
@@ -95,33 +109,42 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
     stats = HmcStats()
 
     workspace = Workspace()
-    at_v = None   # (F, dF/dv) at v, carried over from the last simulation
+    params32 = params.astype(np.float32)
+    f_v = g_v = None   # F and dF/dv at v, carried over from the last simulation
 
-    def evaluate(x):
-        return free_energy_and_grad_v(x, params, with_phase=with_phase, workspace=workspace)
+    def f64(x):
+        # non-finite values are kept: the Metropolis step counts them as divergences
+        return _forward(x, params, with_phase, workspace=workspace).f.copy()
+
+    def gradient(x):
+        _, g = free_energy_and_grad_v(x, params32, with_phase=with_phase, workspace=workspace)
+        return g.astype(np.float64)
 
     def grad_fn(x):
         # leapfrog's first call is at the start point v, its last at the end point
-        if start_end[0] is None:
-            start_end[0] = start_end[1] = at_v if at_v is not None else evaluate(x)
+        if ends[0] is None:
+            ends[0] = ends[1] = g_v if g_v is not None else gradient(x)
         else:
-            start_end[1] = evaluate(x)
-        return start_end[1][1]
+            ends[1] = gradient(x)
+        return ends[1]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_simulations):
+            if f_v is None:
+                f_v = f64(v)
             p0 = rng.standard_normal((B, D))
-            start_end = [None, None]
+            ends = [None, None]
             v1, p1 = leapfrog(v, p0, grad_fn, eps, config.n_leapfrog)
-            (f0, g0), (f1, g1) = start_end
-            h0 = f0 + 0.5 * np.sum(p0 * p0, axis=1)
+            f1 = f64(v1)
+            h0 = f_v + 0.5 * np.sum(p0 * p0, axis=1)
             h1 = f1 + 0.5 * np.sum(p1 * p1, axis=1)
             delta_h = h1 - h0
 
             finite = np.isfinite(delta_h)
             accept = finite & (np.log(rng.uniform(size=B)) < -delta_h)
             v = np.where(accept[:, None], v1, v)
-            at_v = np.where(accept, f1, f0), np.where(accept[:, None], g1, g0)
+            f_v = np.where(accept, f1, f_v)
+            g_v = np.where(accept[:, None], ends[1], ends[0])
 
             n_acc = int(accept.sum())
             n_div = int(B - finite.sum())

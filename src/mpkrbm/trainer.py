@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import blas
 from .energy import Workspace
 from .errors import DataError, NumericError, ParameterError
 from .grad import grad_free_energy_params
@@ -263,18 +264,21 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
 
 def _open_metrics(path, start_iteration):
     """The metrics file, open for the rows from `start_iteration` on: a new
-    file with its header for a run from 0; for a resumed run, the existing
-    file cut to its header and the whole rows before `start_iteration`, so
-    rows an interrupted run wrote after its checkpoint, or a row torn by a
-    kill, are not kept."""
-    if start_iteration == 0:
-        kept = [StepMetrics.csv_header() + "\n"]
-    else:
+    file with its header for a run from 0 or a resumed run whose file is
+    missing or empty (one resumed into a new directory); for any other
+    resumed run, the existing file cut to its header and the whole rows
+    before `start_iteration`, so rows an interrupted run wrote after its
+    checkpoint, or a row torn by a kill, are not kept."""
+    lines = []
+    if start_iteration > 0:
         try:
             with open(path) as fh:
                 lines = fh.readlines()
         except FileNotFoundError:
-            lines = []
+            pass
+    if not lines:
+        kept = [StepMetrics.csv_header() + "\n"]
+    else:
         try:
             kept = lines[:1] + [line for line in lines[1:]
                                 if line.endswith("\n")
@@ -287,8 +291,8 @@ def _open_metrics(path, start_iteration):
 
 
 def _write_checkpoint(params, path, iteration, stage, step_size):
-    save_checkpoint(params, {
-        "iteration": float(iteration),
-        "stage": float(stage),
-        "step_size": float(step_size),
-    }, path)
+    state = {"iteration": float(iteration), "stage": float(stage), "step_size": float(step_size)}
+    threads = blas.threads()
+    if threads is not None:     # exact resume needs the same count (`blas`)
+        state["blas_threads"] = float(threads)
+    save_checkpoint(params, state, path)

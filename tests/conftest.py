@@ -7,14 +7,16 @@ import pytest
 def count_calls(monkeypatch):
     """`count_calls(module, name)` wraps that function under every name in
     the `mpkrbm` package that refers to it, for the length of the test, and
-    returns a dict whose "n" counts its calls."""
+    returns a dict whose "n" counts its calls and whose "args" lists the
+    positional arguments of each."""
 
     def install(module, name):
         original = getattr(module, name)
-        counter = {"n": 0}
+        counter = {"n": 0, "args": []}
 
         def counted(*args, **kwargs):
             counter["n"] += 1
+            counter["args"].append(args)
             return original(*args, **kwargs)
 
         for mod_name, mod in list(sys.modules.items()):

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ import pytest
 
 import mpkrbm
 import mpkrbm.trainer as trainer_module
-from mpkrbm import pnm
+from mpkrbm import blas, pnm
 from mpkrbm.cli import build_parser, main, max_workers
 from mpkrbm.config import RunConfig, load_run_config, parse_run_config, save_run_config
 from mpkrbm.errors import ConfigError, ParameterError
+from mpkrbm.params import load_checkpoint
 
 
 def checksum(path):
@@ -474,3 +476,64 @@ def test_resume_after_a_stop_between_checkpoints_is_exact(tmp_path, monkeypatch,
                  "--out", str(cut)]) == 0
     assert (cut / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
     assert checksum(cut / "checkpoint.mpk") == checksum(full / "checkpoint.mpk")
+
+
+def test_resume_into_a_new_directory_writes_the_header(tmp_path):
+    cfg_path, _ = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    full, first, second = tmp_path / "full", tmp_path / "first", tmp_path / "second"
+    assert main(["train", "--config", str(cfg_path), "--out", str(full)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--iterations", "5",
+                 "--out", str(first)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--resume", str(first / "checkpoint.mpk"),
+                 "--out", str(second)]) == 0
+    header, *rows = (full / "metrics.csv").read_text().splitlines(keepends=True)
+    assert (second / "metrics.csv").read_text() == header + "".join(rows[5:])
+    # an empty file left where the run resumes gets the header too
+    (first / "metrics.csv").write_text("")
+    assert main(["train", "--config", str(cfg_path), "--resume", str(first / "checkpoint.mpk"),
+                 "--out", str(first)]) == 0
+    assert (first / "metrics.csv").read_text() == header + "".join(rows[5:])
+
+
+def test_checkpoint_records_the_blas_thread_count(tmp_path, monkeypatch):
+    cfg_path, _ = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    ck = tmp_path / "out" / "checkpoint.mpk"
+
+    monkeypatch.setattr(blas, "threads", lambda: 3)
+    assert main(["train", "--config", str(cfg_path), "--iterations", "5"]) == 0
+    assert load_checkpoint(ck)[1]["blas_threads"] == 3.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(cfg_path), "--resume", str(ck),
+                     "--iterations", "1"]) == 0
+    assert not [w for w in caught if "BLAS threads" in str(w.message)]
+
+    monkeypatch.setattr(blas, "threads", lambda: 1)
+    with pytest.warns(UserWarning, match="written with 3 BLAS threads, this run has 1"):
+        assert main(["train", "--config", str(cfg_path), "--resume", str(ck),
+                     "--iterations", "1"]) == 0
+    assert load_checkpoint(ck)[1]["blas_threads"] == 1.0
+
+    # without an OpenBLAS to ask, nothing is recorded and nothing is compared
+    monkeypatch.setattr(blas, "threads", lambda: None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(cfg_path), "--resume", str(ck),
+                     "--iterations", "1"]) == 0
+    assert not [w for w in caught if "BLAS threads" in str(w.message)]
+    assert "blas_threads" not in load_checkpoint(ck)[1]
+
+
+def test_blas_thread_count_follows_the_environment(tmp_path):
+    # numpy's OpenBLAS sizes its pool from OPENBLAS_NUM_THREADS at load time
+    if blas.threads() is None:
+        pytest.skip("numpy is not linked to an OpenBLAS that blas.py can find")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(mpkrbm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", "from mpkrbm import blas; print(blas.threads())"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "1", proc.stderr

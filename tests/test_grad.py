@@ -1,5 +1,10 @@
+import ctypes
+import hashlib
+
 import numpy as np
 import pytest
+
+from mpkrbm import blas
 
 from mpkrbm.energy import Workspace, free_energy
 from mpkrbm.errors import DataError, NumericError, ParameterError
@@ -218,3 +223,49 @@ def test_workspace_calls_return_arrays_of_their_own(with_phase):
         fresh = grad_free_energy_params(V, params, with_phase=with_phase)
         for name in kept:
             assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
+
+
+PAPER_SHAPE = ModelShape(200, 256, 2, 256, 100, 256, 256)
+
+# free_energy_and_grad_v at float64 params before float32 forwards existed,
+# on init_params(PAPER_SHAPE, 3) and 128 rows of N(0, I) from seed 4: the
+# first 16 hex digits of the SHA-256 of the F and dF/dv bytes, and their
+# sums as exact floats. The digest holds where it was recorded: numpy 2.4.6
+# on OpenBLAS's SkylakeX kernels, at one and at two BLAS threads.
+FLOAT64_REFERENCE = {
+    (2.0, True): ("993a8c678802f9ec", "-0x1.e2d4005466680p+18", "0x1.16d333e29f529p+13"),
+    (1.5, False): ("67db7441931b9127", "-0x1.f47982f321e6dp+15", "0x1.c11dfe764ee9ep+9"),
+}
+REFERENCE_PLATFORM = ("2.4.6", b"SkylakeX")
+
+
+@pytest.mark.parametrize("alpha, with_phase", FLOAT64_REFERENCE)
+def test_float64_forward_keeps_its_bits(alpha, with_phase):
+    params = init_params(PAPER_SHAPE, 3, alpha=alpha)
+    v = np.random.default_rng(4).standard_normal((128, 200))
+    workspace = Workspace()     # holding float32 buffers of every name first
+    free_energy_and_grad_v(v, params.astype(np.float32), with_phase=with_phase,
+                           workspace=workspace)
+    f, g = free_energy_and_grad_v(v, params, with_phase=with_phase, workspace=workspace)
+    assert f.dtype == g.dtype == np.float64
+    digest, f_sum, g_sum = FLOAT64_REFERENCE[alpha, with_phase]
+    if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
+        assert hashlib.sha256(f.tobytes() + g.tobytes()).hexdigest()[:16] == digest
+    # elsewhere other kernels round differently, but far below float32's 1e-7
+    assert f.sum() == pytest.approx(float.fromhex(f_sum), rel=1e-9)
+    assert g.sum() == pytest.approx(float.fromhex(g_sum), rel=1e-9)
+
+
+@pytest.mark.parametrize("seed, alpha, with_phase",
+                         [(0, 2.0, True), (1, 1.5, True), (2, 2.0, False)])
+def test_float32_grad_v_is_close_to_float64(seed, alpha, with_phase):
+    # what HMC's trajectory runs on, at the paper shape: each row's dF/dv
+    # within 1e-4 of the float64 one, relative to its norm (about 3e-5 at
+    # most with the phase units, whose unit-circle map divides by r)
+    params = init_params(PAPER_SHAPE, seed, alpha=alpha)
+    v = np.random.default_rng(seed + 10).standard_normal((128, 200))
+    _, g64 = free_energy_and_grad_v(v, params, with_phase=with_phase)
+    _, g32 = free_energy_and_grad_v(v, params.astype(np.float32), with_phase=with_phase)
+    assert g32.dtype == np.float32
+    rel = np.linalg.norm(g32 - g64, axis=1) / np.linalg.norm(g64, axis=1)
+    assert rel.max() < 1e-4

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -5,7 +7,7 @@ from scipy import stats as scipy_stats
 from mpkrbm import energy
 from mpkrbm.energy import free_energy
 from mpkrbm.grad import grad_free_energy_v, random_tiny_params
-from mpkrbm.params import ModelParams
+from mpkrbm.params import LEARNABLE_TENSORS, ModelParams
 from mpkrbm.sampler import HmcConfig, gaussian_moment_probe, hmc_chain, leapfrog
 
 
@@ -43,17 +45,22 @@ def test_leapfrog_reversibility():
         assert np.max(np.abs(-p2 - p0)) < 1e-8
 
 
+def forwards_by_dtype(forwards):
+    """Counted `energy._forward` calls by the dtype of the params they ran on."""
+    return dict(Counter(args[1].C.dtype.name for args in forwards["args"]))
+
+
 def test_one_simulation_runs_one_forward_per_gradient(count_calls):
-    # leapfrog's first gradient is at the start point and its last at the
-    # end point, so the Hamiltonian needs no free_energy call of its own
+    # leapfrog's gradients are float32, one forward each; the Hamiltonian
+    # takes a float64 F-only forward at the start point and at the end point
     params = random_tiny_params(2)
     v0 = np.random.default_rng(3).standard_normal((5, 4))
     forwards = count_calls(energy, "_forward")
     f_calls = count_calls(energy, "free_energy")
     for k in (1, 3, 20):
-        forwards["n"] = 0
+        forwards["args"].clear()
         hmc_chain(v0, params, HmcConfig(n_leapfrog=k, seed=4), 1)
-        assert forwards["n"] == k + 1
+        assert forwards_by_dtype(forwards) == {"float32": k + 1, "float64": 2}
     assert f_calls["n"] == 0
 
 
@@ -66,9 +73,9 @@ def test_simulations_carry_the_gradient_at_the_current_state(count_calls):
     forwards = count_calls(energy, "_forward")
     for k, n in ((1, 2), (3, 4), (20, 10)):
         config = HmcConfig(n_leapfrog=k, seed=4, step_size=0.5)
-        forwards["n"] = 0
+        forwards["args"].clear()
         whole, stats = hmc_chain(v0, params, config, n)
-        assert forwards["n"] == n * k + 1
+        assert forwards_by_dtype(forwards) == {"float32": n * k + 1, "float64": n + 1}
         assert 0 < stats.accepted < stats.proposed
 
         rng, v, step = np.random.default_rng(4), v0, None
@@ -76,6 +83,22 @@ def test_simulations_carry_the_gradient_at_the_current_state(count_calls):
             v, one = hmc_chain(v, params, config, 1, rng=rng, step_size=step)
             step = one.current_step_size
         assert np.array_equal(whole, v) and step == stats.current_step_size
+
+
+def test_chain_returns_float64_and_leaves_its_params_alone():
+    # the trajectory runs on a float32 copy; the caller's params and the
+    # samples stay float64
+    params = random_tiny_params(5)
+    before = params.copy()
+    rng = np.random.default_rng(6)
+    for v0 in (rng.standard_normal((6, 4)), rng.standard_normal(4).astype(np.float32)):
+        v1, _ = hmc_chain(v0, params, HmcConfig(seed=7), 3)
+        assert v1.dtype == np.float64 and v1.shape == v0.shape
+    for name in LEARNABLE_TENSORS:
+        now, then = getattr(params, name), getattr(before, name)
+        assert now.dtype == then.dtype == np.float64
+        assert now.tobytes() == then.tobytes(), name
+    assert params.alpha == before.alpha
 
 
 def test_small_step_limit_accepts():

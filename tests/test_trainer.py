@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -148,8 +149,11 @@ def test_cd1_step_takes_its_metrics_from_the_gradient_passes(count_calls):
     cd1_step(batch, params, TrainerConfig(batch_size=6, seed=0), HmcConfig(n_leapfrog=20),
              0.01, np.random.default_rng(5))
     assert f_calls["n"] == 0
-    # 21 gradient evaluations in HMC and two parameter-gradient passes
-    assert forwards["n"] == 23
+    # 21 float32 gradient evaluations and 2 float64 F-only forwards in HMC,
+    # then two float64 parameter-gradient passes
+    assert forwards["n"] == 25
+    assert Counter(args[1].C.dtype.name for args in forwards["args"]) == {
+        "float32": 21, "float64": 4}
 
 
 def test_non_finite_model_batch_raises_with_nothing_trainable():
