@@ -17,12 +17,20 @@ so p(v) is proportional to exp(-F(v)).
 
 The forward pass lives in one place, `_forward`: the patch normalization,
 the projections C'u, the pooled amplitudes s, the unit-circle map x, the
-phase factors q, the three drives and F, as matrix products on the
-flattened C (D, F*L) and Q (F*L, G). The public functions here are views
-of it: `free_energy`, `hidden_conditionals` and `total_energy` on the raw
-patch; `subspace_pool`, `pool_drive`, `energy_p`, `energy_k` and
-`phase_features` on a patch the caller has normalized; `energy_m` on the
-raw patch. `grad` runs its backward pass from the same intermediates.
+phase factors q, the three drives and the exp(-|drive|) that each gate's
+softplus and sigmoid share, as matrix products on the flattened C (D, F*L)
+and Q (F*L, G). F itself, the visible term less three softplus sums, is
+computed on request by `_free_energy`, run only by the callers that use F;
+the leapfrog's dF/dv (`grad.grad_free_energy_v`) never asks for it. The
+public functions here are views of the forward: `free_energy`,
+`hidden_conditionals` and `total_energy` on the raw patch; `subspace_pool`,
+`pool_drive`, `energy_p`, `energy_k` and `phase_features` on a patch the
+caller has normalized; `energy_m` on the raw patch. `grad` runs its
+backward pass from the same intermediates.
+
+At alpha = 2, the paper's case, |y|**2 is y*y bit for bit, so the pooled
+amplitude s = sqrt(sum y^2) and the phase amplitude r = sqrt(sum y^2 +
+eps^2) share one sum of squares; any other alpha raises |y| to its power.
 
 The intermediates are written with `out=` operations into a `Workspace`,
 a set of named buffers reused from one call to the next. Whoever creates
@@ -166,33 +174,32 @@ def _forward(v, params, with_phase=True, normalize=True, workspace=None):
     B = V.shape[0]
     N, M = params.P.shape[1], params.W.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        sq_norm = np.add.reduce(np.multiply(V, V, out=ws("tmp", (B, D))), axis=1,
-                                out=ws("|v|^2", (B,)))
-        fw.norm = np.sqrt(sq_norm[:, None], out=ws("norm", (B, 1)))
+        fw.sq_norm = np.add.reduce(np.multiply(V, V, out=ws("tmp", (B, D))), axis=1,
+                                   out=ws("|v|^2", (B,)))
+        fw.norm = np.sqrt(fw.sq_norm[:, None], out=ws("norm", (B, 1)))
         fw.nu = np.maximum(fw.norm, EPS_NORM, out=ws("nu", (B, 1)))
         fw.U = np.divide(V, fw.nu, out=ws("U", (B, D))) if normalize else V
         Y = fw.Y = np.matmul(fw.U, params.C.reshape(D, F * L),
                              out=ws("Y", (B, F * L))).reshape(B, F, L)
-        pow_y = np.abs(Y, out=ws("tmp", (B, F, L)))
-        pow_y **= params.alpha
-        fw.s = _sum_last(pow_y, ws("s", (B, F)))
-        fw.s **= 1.0 / params.alpha
+        if params.alpha == 2.0 or with_phase:
+            sum_sq = _sum_last(np.multiply(Y, Y, out=ws("tmp", (B, F, L))), ws("sum_sq", (B, F)))
+        if params.alpha == 2.0:     # |y|**2 is y*y bit for bit: s shares r's sum of squares
+            fw.s = np.sqrt(sum_sq, out=ws("s", (B, F)))
+        else:
+            pow_y = np.abs(Y, out=ws("tmp", (B, F, L)))
+            pow_y **= params.alpha
+            fw.s = _sum_last(pow_y, ws("s", (B, F)))
+            fw.s **= 1.0 / params.alpha
         fw.phi = np.matmul(np.multiply(fw.s, 0.5, out=ws("tmp", (B, F))), params.P,
                            out=ws("phi", (B, N)))
         fw.phi += params.b_c
         fw.m = np.matmul(V, params.W, out=ws("m", (B, M)))
         fw.m += params.b_m
-        fw.quad = np.multiply(sq_norm, 0.5, out=ws("quad", (B,)))
-        fw.quad -= np.matmul(V, params.b_v, out=ws("tmp", (B,)))
         fw.e_p = _exp_neg_abs(ws, "p", fw.phi)
         fw.e_m = _exp_neg_abs(ws, "m", fw.m)
-        fw.f = np.subtract(fw.quad, _softplus(ws, fw.phi, fw.e_p).sum(axis=1),
-                           out=ws("f", (B,)))
-        fw.f -= _softplus(ws, fw.m, fw.e_m).sum(axis=1)
         if with_phase:
             G, T = params.R.shape
-            r2 = _sum_last(np.multiply(Y, Y, out=ws("tmp", (B, F, L))), ws("r", (B, F)))
-            r2 += EPS_R * EPS_R
+            r2 = np.add(sum_sq, EPS_R * EPS_R, out=ws("r", (B, F)))
             fw.r = np.sqrt(r2, out=r2)
             fw.x = _per_plane(np.divide, Y, fw.r, ws("x", (B, F, L)))
             fw.q = np.matmul(fw.x.reshape(B, F * L), params.Q.reshape(F * L, G),
@@ -202,8 +209,25 @@ def _forward(v, params, with_phase=True, normalize=True, workspace=None):
             fw.psi = np.matmul(half_q2, params.R, out=ws("psi", (B, T)))
             fw.psi += params.b_k
             fw.e_k = _exp_neg_abs(ws, "k", fw.psi)
-            fw.f -= _softplus(ws, fw.psi, fw.e_k).sum(axis=1)
     return fw
+
+
+def _free_energy(fw, params):
+    """F at the rows of a forward pass, in its workspace until its next use:
+    the visible term 1/2 ||v||^2 - b_v . v (kept as `fw.quad`) less the
+    softplus sums of the three drives. Only callers that use F run it; the
+    leapfrog gradient does not."""
+    ws = fw.ws
+    B = fw.V.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fw.quad = np.multiply(fw.sq_norm, 0.5, out=ws("quad", (B,)))
+        fw.quad -= np.matmul(fw.V, params.b_v, out=ws("tmp", (B,)))
+        fw.f = np.subtract(fw.quad, _softplus(ws, fw.phi, fw.e_p).sum(axis=1),
+                           out=ws("f", (B,)))
+        fw.f -= _softplus(ws, fw.m, fw.e_m).sum(axis=1)
+        if fw.with_phase:
+            fw.f -= _softplus(ws, fw.psi, fw.e_k).sum(axis=1)
+    return fw.f
 
 
 def _view(fw, rows):
@@ -213,7 +237,8 @@ def _view(fw, rows):
 
 
 def _check_finite(fw, caller):
-    """NumericError naming the first non-finite drive or visible term."""
+    """NumericError naming the first non-finite drive or visible term of a
+    forward pass whose F `_free_energy` has computed."""
     terms = [("pooling drive", fw.phi), ("mean drive", fw.m), ("visible term", fw.quad)]
     if fw.with_phase:
         terms.append(("phase drive", fw.psi))
@@ -301,6 +326,7 @@ def total_energy(v, h_p, h_m, h_k, params, with_phase=True):
     h_p = _check_hidden(h_p, params.P.shape[1], "h_p")
     h_m = _check_hidden(h_m, params.W.shape[1], "h_m")
     fw = _forward(v, params, with_phase)
+    _free_energy(fw, params)
     total = -h_p @ _view(fw, fw.phi) - h_m @ _view(fw, fw.m) + _view(fw, fw.quad)
     if with_phase:
         total = total - _check_hidden(h_k, params.R.shape[1], "h_k") @ _view(fw, fw.psi)
@@ -314,8 +340,9 @@ def free_energy(v, params, with_phase=True):
     non-finite drive raises NumericError naming the term.
     """
     fw = _forward(v, params, with_phase)
+    f = _free_energy(fw, params)
     _check_finite(fw, "free_energy")
-    return _view(fw, fw.f)
+    return _view(fw, f)
 
 
 @dataclass

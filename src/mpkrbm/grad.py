@@ -9,11 +9,14 @@ at the bottom of this module.
 
 Neither route has a forward pass of its own: each runs the one forward
 in `energy` (`energy._forward`) and goes backward from its
-intermediates, so F comes with every gradient at no extra cost.
-`free_energy_and_grad_v` returns both for the sampler, and
-`grad_free_energy_params` carries the per-row F of its batch.
+intermediates. F is computed on request (`energy._free_energy`) from the
+same forward: `grad_free_energy_v`, what the leapfrog takes, skips it;
+`free_energy_and_grad_v` adds it; `grad_free_energy_params` carries the
+per-row F of its batch. At alpha = 2 the backward takes d s / d y = y / s,
+which equals sign(y) |y| / s bit for bit but for the sign of a zero y; any
+other alpha takes (|y| / s)**(alpha - 1) sign(y).
 
-Both take an optional `energy.Workspace`, owned by the caller, that holds
+All three take an optional `energy.Workspace`, owned by the caller, that holds
 the forward and backward intermediates from one call to the next. What
 they return is always a new array, never a workspace buffer, so a result
 survives any later call through the same workspace.
@@ -61,11 +64,14 @@ def _backward(fw, params):
     safe_s = ws("tmp", (B, F))
     np.copyto(safe_s, fw.s)
     np.copyto(safe_s, 1.0, where=zero)
-    dy = fw.dy = np.abs(fw.Y, out=ws("dy", (B, F, L)))
-    energy._per_plane(np.divide, dy, safe_s, dy)
-    if params.alpha != 2.0:     # x ** 1 is x
+    if params.alpha == 2.0:     # y / s is sign(y) * |y| / s, but for the sign of a zero
+        dy = energy._per_plane(np.divide, fw.Y, safe_s, ws("dy", (B, F, L)))
+    else:
+        dy = np.abs(fw.Y, out=ws("dy", (B, F, L)))
+        energy._per_plane(np.divide, dy, safe_s, dy)
         dy **= params.alpha - 1.0
-    dy *= np.sign(fw.Y, out=ws("tmp", (B, F, L)))
+        dy *= np.sign(fw.Y, out=ws("tmp", (B, F, L)))
+    fw.dy = dy
     if zero.any():
         np.copyto(dy, 0.0, where=zero[..., None])
     energy._per_plane(np.multiply, dy, g_s, dy)
@@ -84,18 +90,10 @@ def _backward(fw, params):
     return fw
 
 
-def free_energy_and_grad_v(v, params, with_phase=True, workspace=None):
-    """(F, dF/dv) from one forward pass: F as `energy.free_energy` gives
-    it, dF/dv with the shape of v. Both are new arrays, whether or not
-    the caller passes a `workspace` (an `energy.Workspace`) for the
-    intermediates, and both have the dtype of the params.
-
-    Finite for any finite v: the amplitude regularizer and the
-    constant-scale treatment below the normalization floor keep every
-    path differentiable almost everywhere. Non-finite values are returned,
-    not raised: HMC counts them as divergences.
-    """
-    fw = _backward(energy._forward(v, params, with_phase, workspace=workspace), params)
+def _grad_v(fw, params):
+    """dF/dv (B, D) of a forward pass, a new array: backward through the
+    gates and the subspace projections, then through the normalization."""
+    _backward(fw, params)
     ws = fw.ws
     D, F, L = params.C.shape
     B = fw.V.shape[0]
@@ -115,12 +113,31 @@ def free_energy_and_grad_v(v, params, with_phase=True, workspace=None):
     visible = np.subtract(fw.V, params.b_v, out=ws("tmp", (B, D)))
     visible -= np.matmul(fw.sig_m, params.W.T, out=ws("tmp2", (B, D)))
     g_v += visible
-    return energy._view(fw, fw.f.copy()), energy._view(fw, g_v)
+    return g_v
 
 
-def grad_free_energy_v(v, params, with_phase=True):
-    """dF/dv, same shape as v (single vector or batch of rows)."""
-    return free_energy_and_grad_v(v, params, with_phase=with_phase)[1]
+def grad_free_energy_v(v, params, with_phase=True, workspace=None):
+    """dF/dv with the shape of v (single vector or batch of rows), from one
+    forward and one backward pass and no F: what the leapfrog integrator
+    takes. A new array in the dtype of the params, whether or not the
+    caller passes a `workspace` (an `energy.Workspace`) for the
+    intermediates.
+
+    Finite for any finite v: the amplitude regularizer and the
+    constant-scale treatment below the normalization floor keep every
+    path differentiable almost everywhere. Non-finite values are returned,
+    not raised: HMC counts them as divergences.
+    """
+    fw = energy._forward(v, params, with_phase, workspace=workspace)
+    return energy._view(fw, _grad_v(fw, params))
+
+
+def free_energy_and_grad_v(v, params, with_phase=True, workspace=None):
+    """(F, dF/dv) from one forward pass: `grad_free_energy_v` with F, as
+    `energy.free_energy` gives it, added. Both are new arrays."""
+    fw = energy._forward(v, params, with_phase, workspace=workspace)
+    f = energy._free_energy(fw, params).copy()
+    return energy._view(fw, f), energy._view(fw, _grad_v(fw, params))
 
 
 def grad_free_energy_params(v_batch, params, with_phase=True, workspace=None):
@@ -138,6 +155,7 @@ def grad_free_energy_params(v_batch, params, with_phase=True, workspace=None):
     B = V.shape[0]
     D, F, L = params.C.shape
     fw = energy._forward(V, params, with_phase, workspace=workspace)
+    f_rows = energy._free_energy(fw, params).copy()
     energy._check_finite(fw, "grad_free_energy_params")
     _backward(fw, params)
 
@@ -151,7 +169,7 @@ def grad_free_energy_params(v_batch, params, with_phase=True, workspace=None):
         b_m=-fw.sig_m.mean(axis=0),
         b_k=np.zeros_like(params.b_k),
         b_v=-V.mean(axis=0),
-        f_rows=fw.f.copy(),
+        f_rows=f_rows,
     )
     if with_phase:
         g.Q = (fw.x.reshape(B, F * L).T @ fw.g_q).reshape(params.Q.shape) / B

@@ -12,20 +12,22 @@ reversible, volume-preserving map; the Metropolis test on the exact H is
 what leaves the target invariant, whatever gradient drove the map (Neal
 2011, "MCMC using Hamiltonian dynamics", section 5.5). So `hmc_chain`
 takes every leapfrog gradient from a float32 copy of the params, made
-once per call, and casts it back to float64; v and p stay float64. H at
-the start and end points comes from a float64 F, so the test is as exact
-as the float64 model: a float32 F is off by up to about 1e-3 nats at the
-paper shape, where |F| is in the hundreds, and that error would enter
-every delta H. Samples, like the params, are float64.
+once per call, through `grad.grad_free_energy_v`, which computes dF/dv
+alone and no F, and casts it back to float64; v and p stay float64. H at
+the start and end points comes from a float64 F, the only F a simulation
+computes, so the test is as exact as the float64 model: a float32 F is
+off by up to about 1e-3 nats at the paper shape, where |F| is in the
+hundreds, and that error would enter every delta H. Samples, like the
+params, are float64.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import Workspace, _forward
+from .energy import Workspace, _forward, _free_energy
 from .errors import ParameterError
-from .grad import free_energy_and_grad_v
+from .grad import grad_free_energy_v
 
 STEP_FLOOR = 1e-12
 
@@ -97,8 +99,8 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
     one simulation to the next: an accepted row sits where the last
     gradient and the end point's F were taken, a rejected one where the
     first gradient and the start point's F were. So n simulations of K
-    leapfrog steps run n*K + 1 float32 gradient forwards and n + 1 float64
-    F-only forwards.
+    leapfrog steps run n*K + 1 float32 gradient-only forwards and n + 1
+    float64 F-only forwards.
     """
     config.validate()
     if rng is None:
@@ -114,10 +116,10 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
 
     def f64(x):
         # non-finite values are kept: the Metropolis step counts them as divergences
-        return _forward(x, params, with_phase, workspace=workspace).f.copy()
+        return _free_energy(_forward(x, params, with_phase, workspace=workspace), params).copy()
 
     def gradient(x):
-        _, g = free_energy_and_grad_v(x, params32, with_phase=with_phase, workspace=workspace)
+        g = grad_free_energy_v(x, params32, with_phase=with_phase, workspace=workspace)
         return g.astype(np.float64)
 
     def grad_fn(x):

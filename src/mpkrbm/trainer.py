@@ -90,10 +90,13 @@ class StepMetrics:
     f_model: float
     rejection_rate: float
     step_size: float
+    divergences: int
+    mean_delta_h: float
     grad_norms: dict = field(default_factory=dict)
 
     CSV_COLUMNS = ("iteration", "stage", "f_data", "f_model", "rejection_rate",
-                   "step_size") + tuple(f"grad_norm_{n}" for n in LEARNABLE_TENSORS)
+                   "step_size", "divergences", "mean_delta_h") + tuple(
+                       f"grad_norm_{n}" for n in LEARNABLE_TENSORS)
 
     @classmethod
     def csv_header(cls):
@@ -102,7 +105,7 @@ class StepMetrics:
     def csv_line(self):
         fields = [str(self.iteration), str(self.stage), f"{self.f_data:.8g}",
                   f"{self.f_model:.8g}", f"{self.rejection_rate:.6g}",
-                  f"{self.step_size:.8g}"]
+                  f"{self.step_size:.8g}", str(self.divergences), f"{self.mean_delta_h:.8g}"]
         fields += [f"{self.grad_norms.get(n, 0.0):.6g}" for n in LEARNABLE_TENSORS]
         return ",".join(fields)
 
@@ -150,6 +153,8 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
         f_model=float(np.mean(g_model.f_rows)),
         rejection_rate=stats.rejection_rate,
         step_size=stats.current_step_size,
+        divergences=stats.divergences,
+        mean_delta_h=stats.mean_delta_h,
         grad_norms=norms,
     )
     return new_params, stats.current_step_size, metrics
@@ -268,7 +273,9 @@ def _open_metrics(path, start_iteration):
     missing or empty (one resumed into a new directory); for any other
     resumed run, the existing file cut to its header and the whole rows
     before `start_iteration`, so rows an interrupted run wrote after its
-    checkpoint, or a row torn by a kill, are not kept."""
+    checkpoint, or a row torn by a kill, are not kept. An existing file
+    whose header is not `StepMetrics.csv_header()` (one written with other
+    columns) is a DataError, and is left as it was."""
     lines = []
     if start_iteration > 0:
         try:
@@ -276,8 +283,12 @@ def _open_metrics(path, start_iteration):
                 lines = fh.readlines()
         except FileNotFoundError:
             pass
+    header = StepMetrics.csv_header()
     if not lines:
-        kept = [StepMetrics.csv_header() + "\n"]
+        kept = [header + "\n"]
+    elif lines[0].rstrip("\n") != header:
+        raise DataError(f"{path}: header is not {header!r}; resume into a new output "
+                        "directory")
     else:
         try:
             kept = lines[:1] + [line for line in lines[1:]

@@ -497,6 +497,27 @@ def test_resume_into_a_new_directory_writes_the_header(tmp_path):
     assert (first / "metrics.csv").read_text() == header + "".join(rows[5:])
 
 
+def test_resume_onto_metrics_with_other_columns_exit_2(tmp_path, capsys):
+    # rows of two formats never share one file: the run stops before it writes
+    cfg_path, _ = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--iterations", "5"]) == 0
+    metrics = out / "metrics.csv"
+    header, *rows = metrics.read_text().splitlines(keepends=True)
+    old_columns = header.replace(",divergences,mean_delta_h", "")
+    assert old_columns != header
+    metrics.write_text(old_columns + "".join(rows))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--resume",
+                 str(out / "checkpoint.mpk")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "metrics.csv" in err[0], err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_checkpoint_records_the_blas_thread_count(tmp_path, monkeypatch):
     cfg_path, _ = base_config(tmp_path)
     write_images(tmp_path / "images")

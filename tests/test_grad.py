@@ -214,6 +214,13 @@ def test_workspace_calls_return_arrays_of_their_own(with_phase):
         fresh_f, fresh_g = free_energy_and_grad_v(V, params, with_phase=with_phase)
         assert np.array_equal(f, fresh_f) and np.array_equal(g, fresh_g)
 
+    g1 = grad_free_energy_v(V1, params, with_phase=with_phase, workspace=workspace)
+    kept = g1.copy()
+    g2 = grad_free_energy_v(V2, params, with_phase=with_phase, workspace=workspace)
+    assert np.array_equal(g1, kept)
+    for g, V in ((g1, V1), (g2, V2)):
+        assert np.array_equal(g, grad_free_energy_v(V, params, with_phase=with_phase))
+
     p1 = grad_free_energy_params(V1, params, with_phase=with_phase, workspace=workspace)
     kept = {name: getattr(p1, name).copy() for name in LEARNABLE_TENSORS + ("f_rows",)}
     p2 = grad_free_energy_params(V2, params, with_phase=with_phase, workspace=workspace)
@@ -223,6 +230,20 @@ def test_workspace_calls_return_arrays_of_their_own(with_phase):
         fresh = grad_free_energy_params(V, params, with_phase=with_phase)
         for name in kept:
             assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+@pytest.mark.parametrize("with_phase", [True, False])
+def test_grad_v_is_the_gradient_of_free_energy_and_grad_v(alpha, with_phase):
+    # the leapfrog's gradient-only call gives the bits of the fused one, at
+    # float32 and float64 params sharing one workspace
+    params = random_tiny_params(26, alpha=alpha)
+    V = np.random.default_rng(27).standard_normal((6, 4))
+    workspace = Workspace()
+    for p in (params.astype(np.float32), params, params.astype(np.float32)):
+        g = grad_free_energy_v(V, p, with_phase=with_phase, workspace=workspace)
+        _, expected = free_energy_and_grad_v(V, p, with_phase=with_phase, workspace=workspace)
+        assert g.dtype == p.C.dtype and g.tobytes() == expected.tobytes()
 
 
 PAPER_SHAPE = ModelShape(200, 256, 2, 256, 100, 256, 256)
@@ -235,6 +256,8 @@ PAPER_SHAPE = ModelShape(200, 256, 2, 256, 100, 256, 256)
 FLOAT64_REFERENCE = {
     (2.0, True): ("993a8c678802f9ec", "-0x1.e2d4005466680p+18", "0x1.16d333e29f529p+13"),
     (1.5, False): ("67db7441931b9127", "-0x1.f47982f321e6dp+15", "0x1.c11dfe764ee9ep+9"),
+    # recorded later, before the leapfrog gradient stopped computing F
+    (2.0, False): ("d4c5666ea6653c56", "-0x1.f535cda3ff05cp+15", "0x1.c103fabb955c9p+9"),
 }
 REFERENCE_PLATFORM = ("2.4.6", b"SkylakeX")
 
@@ -254,6 +277,33 @@ def test_float64_forward_keeps_its_bits(alpha, with_phase):
     # elsewhere other kernels round differently, but far below float32's 1e-7
     assert f.sum() == pytest.approx(float.fromhex(f_sum), rel=1e-9)
     assert g.sum() == pytest.approx(float.fromhex(g_sum), rel=1e-9)
+
+
+# grad_free_energy_params on the same model and rows, recorded before the
+# leapfrog gradient stopped computing F: the digest of the bytes of the nine
+# gradients in LEARNABLE_TENSORS order and then f_rows, the sum of f_rows,
+# and the sum of the absolute values of the nine gradients, on the platform
+# and at the thread counts of FLOAT64_REFERENCE.
+PARAMS_REFERENCE = {
+    (2.0, True): ("b3893e7f04923896", "-0x1.e2d4005466680p+18", "0x1.01988cab8fe11p+20"),
+    (2.0, False): ("e871cde30ff6977d", "-0x1.f535cda3ff05cp+15", "0x1.d0a16dbc0f7cbp+11"),
+    (1.5, False): ("f64234d92d20e56a", "-0x1.f47982f321e6dp+15", "0x1.ea100ab06ce38p+11"),
+}
+
+
+@pytest.mark.parametrize("alpha, with_phase", PARAMS_REFERENCE)
+def test_float64_param_gradients_keep_their_bits(alpha, with_phase):
+    params = init_params(PAPER_SHAPE, 3, alpha=alpha)
+    v = np.random.default_rng(4).standard_normal((128, 200))
+    g = grad_free_energy_params(v, params, with_phase=with_phase)
+    grads = [getattr(g, name) for name in LEARNABLE_TENSORS]
+    digest, f_sum, abs_sum = PARAMS_REFERENCE[alpha, with_phase]
+    if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
+        data = b"".join(a.tobytes() for a in grads + [g.f_rows])
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+    assert g.f_rows.sum() == pytest.approx(float.fromhex(f_sum), rel=1e-9)
+    assert sum(np.abs(a).sum() for a in grads) == pytest.approx(float.fromhex(abs_sum),
+                                                                rel=1e-9)
 
 
 @pytest.mark.parametrize("seed, alpha, with_phase",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from mpkrbm import energy
+from mpkrbm import energy, grad
 from mpkrbm.energy import free_energy
 from mpkrbm.grad import grad_free_energy_v, random_tiny_params
 from mpkrbm.params import LEARNABLE_TENSORS, ModelParams
@@ -83,6 +83,24 @@ def test_simulations_carry_the_gradient_at_the_current_state(count_calls):
             v, one = hmc_chain(v, params, config, 1, rng=rng, step_size=step)
             step = one.current_step_size
         assert np.array_equal(whole, v) and step == stats.current_step_size
+
+
+def test_f_runs_only_for_the_hamiltonian(count_calls):
+    # the leapfrog takes dF/dv alone, from float32 forwards; F runs only for
+    # H, in float64, at the first start point and at every end point
+    params = random_tiny_params(2)
+    v0 = np.random.default_rng(3).standard_normal((5, 4))
+    f_calls = count_calls(energy, "_free_energy")
+    gradients = count_calls(grad, "grad_free_energy_v")
+    for k, n in ((1, 2), (3, 4), (20, 10)):
+        for counter in (f_calls, gradients):
+            counter["n"] = 0
+            counter["args"].clear()
+        hmc_chain(v0, params, HmcConfig(n_leapfrog=k, seed=4, step_size=0.5), n)
+        assert f_calls["n"] == n + 1
+        assert {args[1].C.dtype.name for args in f_calls["args"]} == {"float64"}
+        assert gradients["n"] == n * k + 1
+        assert {args[1].C.dtype.name for args in gradients["args"]} == {"float32"}
 
 
 def test_chain_returns_float64_and_leaves_its_params_alone():

@@ -123,6 +123,21 @@ def test_metrics_are_the_free_energies_of_both_batches(with_phase):
     assert abs(metrics.f_model - f_model) <= 1e-12
 
 
+def test_metrics_rows_carry_the_sampler_health():
+    params, batch = small_setup(13)
+
+    def unhealthy_sampler(batch, params, hmc_config, step_size, rng, with_phase):
+        model, stats = identity_sampler(batch, params, hmc_config, step_size, rng, with_phase)
+        stats.divergences, stats.mean_delta_h = 2, 0.25
+        return model, stats
+
+    _, _, metrics = cd1_step(batch, params, TrainerConfig(batch_size=6, seed=0), HmcConfig(),
+                             0.01, np.random.default_rng(4), negative_sampler=unhealthy_sampler)
+    assert (metrics.divergences, metrics.mean_delta_h) == (2, 0.25)
+    row = dict(zip(StepMetrics.CSV_COLUMNS, metrics.csv_line().split(",")))
+    assert (row["divergences"], row["mean_delta_h"]) == ("2", "0.25")
+
+
 def test_model_pass_leaves_the_data_pass_intact():
     # both parameter-gradient passes share one workspace; f_data and the
     # update must equal those of passes with workspaces of their own
