@@ -16,9 +16,19 @@ Layout (all integers little-endian):
 
 Scalars are stored as rank-0 tensors. Checkpoints, patch files, whitening
 transforms and synthetic datasets all share this format.
+
+A tensor's data is streamed from and into its own buffer: a write sends the
+float64 array's bytes to the file as they lie in memory, and a read fills a
+new array straight from the file, so no tensor's bytes exist twice. The CRC
+is taken over the record's parts in order, header bytes then data, which
+gives the same value as over the joined payload, so the bytes on disk are
+those of a write that joins them. A read is bounded by the file size: a
+record whose dims declare more data than the file holds is a FormatError
+before anything is allocated.
 """
 
 import contextlib
+import math
 import os
 import struct
 import zlib
@@ -34,6 +44,11 @@ _HEADER = struct.Struct("<II")
 _NAME_LEN = struct.Struct("<H")
 _RANK = struct.Struct("<B")
 _CRC = struct.Struct("<I")
+
+
+def _buffer(arr):
+    """The bytes of a C-contiguous array, as a view on its own memory."""
+    return memoryview(arr.reshape(-1)).cast("B")
 
 
 def write_container(path, tensors):
@@ -55,11 +70,12 @@ def write_container(path, tensors):
                 name_bytes = name.encode("utf-8")
                 if len(name_bytes) > 0xFFFF:
                     raise FormatError(f"tensor name too long: {name!r}")
-                dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
-                payload = name_bytes + _RANK.pack(arr.ndim) + dims + arr.tobytes()
+                head = name_bytes + _RANK.pack(arr.ndim) + struct.pack(f"<{arr.ndim}Q", *arr.shape)
+                data = _buffer(arr)
                 fh.write(_NAME_LEN.pack(len(name_bytes)))
-                fh.write(payload)
-                fh.write(_CRC.pack(zlib.crc32(payload)))
+                fh.write(head)
+                fh.write(data)
+                fh.write(_CRC.pack(zlib.crc32(data, zlib.crc32(head))))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -70,14 +86,31 @@ def write_container(path, tensors):
 def _read_exact(fh, n, what):
     buf = fh.read(n)
     if len(buf) != n:
-        raise FormatError(f"truncated container: short read in {what}")
+        raise FormatError(f"{fh.name}: truncated container: short read in {what}")
     return buf
+
+
+def _read_tensor(fh, size, shape, name_bytes):
+    """The record's data, read from `fh` straight into a new array."""
+    n_bytes = 8 * math.prod(shape)
+    left = size - fh.tell()
+    if n_bytes > left:
+        raise FormatError(f"{fh.name}: truncated container: tensor {name_bytes!r} declares "
+                          f"{n_bytes} bytes of data, the file holds {left} more")
+    try:
+        arr = np.empty(shape, dtype="<f8")
+    except ValueError:      # a dim past numpy's index range, beside a zero dim
+        raise FormatError(f"{fh.name}: tensor {name_bytes!r} has unusable dims {shape}") from None
+    if fh.readinto(_buffer(arr)) != n_bytes:
+        raise FormatError(f"{fh.name}: truncated container: short read in tensor data")
+    return arr
 
 
 def read_container(path):
     """Read a container back into an ordered dict of name -> np.ndarray."""
     tensors = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise FormatError(f"{path}: bad magic, not a tensor container")
         version, count = _HEADER.unpack(_read_exact(fh, _HEADER.size, "header"))
@@ -89,16 +122,13 @@ def read_container(path):
             rank_byte = _read_exact(fh, 1, "rank")
             (rank,) = _RANK.unpack(rank_byte)
             dims_bytes = _read_exact(fh, 8 * rank, "dims")
-            shape = struct.unpack(f"<{rank}Q", dims_bytes)
-            n_elem = 1
-            for d in shape:
-                n_elem *= d
-            data = _read_exact(fh, 8 * n_elem, "tensor data")
+            arr = _read_tensor(fh, size, struct.unpack(f"<{rank}Q", dims_bytes), name_bytes)
             (crc,) = _CRC.unpack(_read_exact(fh, _CRC.size, "crc"))
-            payload = name_bytes + rank_byte + dims_bytes + data
-            if zlib.crc32(payload) != crc:
+            head = name_bytes + rank_byte + dims_bytes
+            if zlib.crc32(_buffer(arr), zlib.crc32(head)) != crc:
                 raise FormatError(f"{path}: CRC mismatch for tensor {name_bytes!r}")
-            name = name_bytes.decode("utf-8")
-            arr = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-            tensors[name] = arr
+            try:
+                tensors[name_bytes.decode("utf-8")] = arr
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: tensor name {name_bytes!r} is not UTF-8") from None
     return tensors

@@ -17,7 +17,10 @@ class DataError(MpkError):
 
 
 class FormatError(MpkError):
-    """Corrupt or truncated container file."""
+    """Corrupt or truncated container or PNM file: a bad magic or header, a
+    CRC mismatch, a tensor name that is not UTF-8, or dims or a pixel count
+    that declare more bytes than the file holds (checked before any
+    allocation)."""
 
     exit_code = 2
 

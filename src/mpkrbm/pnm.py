@@ -2,8 +2,12 @@
 
 Only the binary variants are supported; anything else is the caller's job
 to convert. Pixels come back as float64 in [0, maxval]; grayscale images
-are (H, W), color images (H, W, 3).
+are (H, W), color images (H, W, 3). A malformed header, or one that
+declares more pixel bytes than the file holds, is a FormatError that names
+the file, raised before the pixels are read.
 """
+
+import os
 
 import numpy as np
 
@@ -28,6 +32,14 @@ def _read_token(fh):
         token += ch
 
 
+def _read_count(fh, path, what):
+    """Next header token as a non-negative decimal integer."""
+    token = _read_token(fh)
+    if not token.isdigit():
+        raise FormatError(f"{path}: invalid {what} {token.decode('latin-1')!r} in PNM header")
+    return int(token)
+
+
 def read_pnm(path):
     with open(path, "rb") as fh:
         magic = fh.read(2)
@@ -37,16 +49,18 @@ def read_pnm(path):
             channels = 3
         else:
             raise FormatError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
-        width = int(_read_token(fh))
-        height = int(_read_token(fh))
-        maxval = int(_read_token(fh))
+        width = _read_count(fh, path, "width")
+        height = _read_count(fh, path, "height")
+        maxval = _read_count(fh, path, "maxval")
         if not 0 < maxval < 65536:
             raise FormatError(f"{path}: invalid maxval {maxval}")
         dtype = ">u2" if maxval > 255 else "u1"
-        count = width * height * channels
-        raw = fh.read(count * np.dtype(dtype).itemsize)
-        if len(raw) < count * np.dtype(dtype).itemsize:
-            raise FormatError(f"{path}: truncated pixel data")
+        n_bytes = width * height * channels * np.dtype(dtype).itemsize
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n_bytes > left:
+            raise FormatError(f"{path}: truncated pixel data: the header declares "
+                              f"{n_bytes} bytes, the file holds {left}")
+        raw = fh.read(n_bytes)
     img = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     if channels == 1:
         return img.reshape(height, width)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import os
 import signal
+import struct
 import subprocess
 import sys
 import warnings
@@ -203,6 +204,27 @@ def test_export_all_writes_every_mosaic(tmp_path):
     for item in ("C0", "C1", "W", "amplitude", "phase", "P", "Q", "R"):
         img = pnm.read_pnm(tmp_path / "out" / f"filters_{item}.ppm")
         assert img.ndim == 3 and img.shape[2] == 3, item
+
+
+def test_sample_on_a_corrupt_checkpoint_exit_2(tmp_path, capsys):
+    # dims of 2^40 x 3 and no data: a FormatError, not a 24 TiB allocation
+    ck = tmp_path / "ck.mpk"
+    header = b"MPK1" + struct.pack("<IIH", 1, 1, 1) + b"C"
+    ck.write_bytes(header + struct.pack("<B2Q", 2, 2 ** 40, 3))
+    assert main(["sample", "--resume", str(ck), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ck.mpk" in err and err.count("\n") == 1
+    assert not (tmp_path / "samples.mpk").exists()
+
+
+def test_preprocess_on_a_malformed_ppm_exit_2(tmp_path, capsys):
+    path, _ = base_config(tmp_path)
+    write_images(tmp_path / "images", n=2)
+    (tmp_path / "images" / "zbad.ppm").write_bytes(b"P6\nab 40\n255\n" + b"\x00" * 4800)
+    assert main(["preprocess", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zbad.ppm" in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / "patches.mpk").exists()
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,3 +104,76 @@ def test_failed_write_leaves_the_old_file_and_no_temporary(tmp_path):
     write_container(str(path), {"b": np.ones(2)})
     assert list(read_container(path)) == ["b"]
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.mpk"]
+
+
+def _f32(x):
+    """x rounded to float32, as a Python float."""
+    return struct.unpack("<f", struct.pack("<f", x))[0]
+
+
+# (name, value, shape, row-major float64 values); the expected bytes are
+# built from the last two with struct and zlib alone
+FORMAT_CASES = [
+    ("scalar", np.float64(2.5), (), [2.5]),
+    ("empty", np.zeros((0, 3)), (0, 3), []),
+    ("rank3", np.arange(6.0).reshape(2, 1, 3) - 2.5, (2, 1, 3), [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]),
+    ("transposed", np.arange(6.0).reshape(2, 3).T, (3, 2), [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]),
+    ("single", np.array([0.1, -2.5, 3e38], dtype=np.float32), (3,),
+     [_f32(0.1), -2.5, _f32(3e38)]),
+    ("big_endian", np.array([[1.5, -0.0], [5e-324, -1e300]], dtype=">f8"), (2, 2),
+     [1.5, -0.0, 5e-324, -1e300]),
+]
+
+
+def test_on_disk_bytes_are_pinned(tmp_path):
+    expected = MAGIC + struct.pack("<II", 1, len(FORMAT_CASES))
+    for name, _, shape, values in FORMAT_CASES:
+        payload = (name.encode() + struct.pack("<B", len(shape))
+                   + struct.pack(f"<{len(shape)}Q", *shape)
+                   + struct.pack(f"<{len(values)}d", *values))
+        expected += (struct.pack("<H", len(name.encode())) + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
+    path = tmp_path / "t.mpk"
+    write_container(path, {name: value for name, value, _, _ in FORMAT_CASES})
+    assert path.read_bytes() == expected
+
+    back = read_container(path)
+    assert list(back) == [name for name, _, _, _ in FORMAT_CASES]
+    for name, _, shape, values in FORMAT_CASES:
+        assert back[name].shape == shape
+        assert back[name].dtype == np.float64
+        assert back[name].tobytes() == struct.pack(f"<{len(values)}d", *values)
+
+
+def _record(name_bytes, dims, data=b""):
+    payload = name_bytes + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + data
+    return struct.pack("<H", len(name_bytes)) + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def _container(*records):
+    return MAGIC + struct.pack("<II", 1, len(records)) + b"".join(records)
+
+
+@pytest.mark.parametrize("dims", [(2 ** 40, 3), (2 ** 62, 2), (2, 2), (0, 2 ** 63)])
+def test_dims_beyond_the_file_are_a_format_error(tmp_path, dims):
+    # the record declares more data than the file holds: no allocation,
+    # no MemoryError or OverflowError, just a FormatError
+    path = tmp_path / "t.mpk"
+    path.write_bytes(_container(_record(b"x", dims, data=b"\x00" * 24)))
+    with pytest.raises(FormatError, match="t.mpk"):
+        read_container(path)
+
+
+def test_name_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "t.mpk"
+    path.write_bytes(_container(_record(b"\xff\xfe", (), data=struct.pack("<d", 1.0))))
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_container(path)
+
+
+def test_hand_built_records_read_back(tmp_path):
+    path = tmp_path / "t.mpk"
+    path.write_bytes(_container(_record(b"a", (2,), data=struct.pack("<2d", 1.0, -2.0)),
+                                _record(b"b", (0, 5))))
+    back = read_container(path)
+    assert back["a"].tolist() == [1.0, -2.0] and back["b"].shape == (0, 5)

@@ -51,3 +51,18 @@ def test_write_clips_to_8_bit(tmp_path):
     write_pnm(path, np.array([[-5.0, 300.4], [127.6, 255.0]]))
     assert path.read_bytes().startswith(b"P5\n2 2\n255\n")
     assert np.array_equal(read_pnm(path), [[0.0, 255.0], [128.0, 255.0]])
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"P6\nab 4\n255\n", "invalid width"),
+    (b"P6\n-4 4\n255\n", "invalid width"),
+    (b"P5\n4 x4\n255\n", "invalid height"),
+    (b"P5\n4 4\n2.5\n", "invalid maxval"),
+    (b"P6\n100000000 100000000\n255\n", "truncated pixel data"),
+])
+def test_bad_header_is_a_format_error_naming_the_file(tmp_path, header, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header + b"\x00" * 48)
+    with pytest.raises(FormatError, match=message) as info:
+        read_pnm(path)
+    assert "bad.ppm" in str(info.value)
