@@ -8,12 +8,8 @@ by CD-1 with hybrid Monte Carlo sampling of the visibles.
 from .energy import (
     HiddenActivations,
     PhaseFeatures,
-    energy_k,
-    energy_m,
-    energy_p,
     free_energy,
     hidden_conditionals,
-    inverse_covariance,
     phase_coupling_matrix,
     phase_features,
     subspace_pool,

@@ -80,7 +80,8 @@ def _out_dir(args, config):
 
 
 def _existing(path, what):
-    if not Path(path).exists():
+    """`path` if it names a regular file; a directory counts as missing."""
+    if not Path(path).is_file():
         raise MissingFileError(f"{what} not found: {path}")
     return path
 
@@ -124,7 +125,10 @@ def cmd_preprocess(args):
 def cmd_train(args):
     config = _load_config(args)
     patches_path = _existing(config.paths.run_file("patches"), "patch file")
-    patches = container.read_container(patches_path)["patches"]
+    tensors = container.read_container(patches_path)
+    if "patches" not in tensors:
+        raise DataError(f"{patches_path}: patch file holds no 'patches' tensor")
+    patches = tensors["patches"]
     whitening_path = config.paths.run_file("whitening")
     if Path(whitening_path).exists():
         patches = WhiteningTransform.load(whitening_path).apply(patches)

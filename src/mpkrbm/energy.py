@@ -23,10 +23,11 @@ and Q (F*L, G). F itself, the visible term less three softplus sums, is
 computed on request by `_free_energy`, run only by the callers that use F;
 the leapfrog's dF/dv (`grad.grad_free_energy_v`) never asks for it. The
 public functions here are views of the forward: `free_energy`,
-`hidden_conditionals` and `total_energy` on the raw patch; `subspace_pool`,
-`pool_drive`, `energy_p`, `energy_k` and `phase_features` on a patch the
-caller has normalized; `energy_m` on the raw patch. `grad` runs its
-backward pass from the same intermediates.
+`hidden_conditionals` and `total_energy` (all three families' energies
+plus the visible term, at given hiddens) on the raw patch;
+`subspace_pool`, `pool_drive` and `phase_features` on a patch the caller
+has normalized. `grad` runs its backward pass from the same
+intermediates.
 
 At alpha = 2, the paper's case, |y|**2 is y*y bit for bit, so the pooled
 amplitude s = sqrt(sum y^2) and the phase amplitude r = sqrt(sum y^2 +
@@ -296,27 +297,6 @@ def _check_hidden(h, n, what):
     return h
 
 
-def energy_p(v, h_p, params):
-    """Pooling-unit energy. v must already be normalized; h_p may be a
-    single binary vector (N,) or a stack of configurations (..., N)."""
-    h_p = _check_hidden(h_p, params.P.shape[1], "h_p")
-    return -h_p @ pool_drive(v, params)
-
-
-def energy_m(v, h_m, params):
-    """Mean-unit energy on the raw (unnormalized) patch."""
-    h_m = _check_hidden(h_m, params.W.shape[1], "h_m")
-    fw = _forward(v, params, with_phase=False, normalize=False)
-    return -h_m @ _view(fw, fw.m)
-
-
-def energy_k(v, h_k, params):
-    """Phase-coupling energy; v should be normalized by the caller."""
-    h_k = _check_hidden(h_k, params.R.shape[1], "h_k")
-    fw = _forward(v, params, with_phase=True, normalize=False)
-    return -h_k @ _view(fw, fw.psi)
-
-
 def total_energy(v, h_p, h_m, h_k, params, with_phase=True):
     """E_p + E_m + E_k + 1/2 ||v||^2 - b_v . v for a single patch v.
 
@@ -364,19 +344,6 @@ def hidden_conditionals(v, params, with_phase=True):
 
 
 # --- diagnostics ---
-
-def inverse_covariance(h_p, params):
-    """Gated precision-style matrix C_flat diag(repeat(P h_p)) C_flat'.
-
-    Each subspace's pooled weight applies to all L of its filter vectors;
-    symmetric by construction.
-    """
-    D, F, L = params.C.shape
-    h_p = _check_hidden(h_p, params.P.shape[1], "h_p")
-    weights = np.repeat(params.P @ h_p, L)
-    c_flat = params.C.reshape(D, F * L)
-    return (c_flat * weights) @ c_flat.T
-
 
 def phase_coupling_matrix(h_k, params):
     """Phase coupling matrix K = Q_flat diag(R h_k) Q_flat' in the

@@ -11,12 +11,12 @@ Neither route has a forward pass of its own: each runs the one forward
 in `energy` (`energy._forward`) and goes backward from its
 intermediates. F is computed on request (`energy._free_energy`) from the
 same forward: `grad_free_energy_v`, what the leapfrog takes, skips it;
-`free_energy_and_grad_v` adds it; `grad_free_energy_params` carries the
-per-row F of its batch. At alpha = 2 the backward takes d s / d y = y / s,
-which equals sign(y) |y| / s bit for bit but for the sign of a zero y; any
-other alpha takes (|y| / s)**(alpha - 1) sign(y).
+`grad_free_energy_params` carries the per-row F of its batch. At alpha = 2
+the backward takes d s / d y = y / s, which equals sign(y) |y| / s bit for
+bit but for the sign of a zero y; any other alpha takes
+(|y| / s)**(alpha - 1) sign(y).
 
-All three take an optional `energy.Workspace`, owned by the caller, that holds
+Both take an optional `energy.Workspace`, owned by the caller, that holds
 the forward and backward intermediates from one call to the next. What
 they return is always a new array, never a workspace buffer, so a result
 survives any later call through the same workspace.
@@ -90,10 +90,19 @@ def _backward(fw, params):
     return fw
 
 
-def _grad_v(fw, params):
-    """dF/dv (B, D) of a forward pass, a new array: backward through the
-    gates and the subspace projections, then through the normalization."""
-    _backward(fw, params)
+def grad_free_energy_v(v, params, with_phase=True, workspace=None):
+    """dF/dv with the shape of v (single vector or batch of rows), from one
+    forward and one backward pass and no F: what the leapfrog integrator
+    takes. A new array in the dtype of the params, whether or not the
+    caller passes a `workspace` (an `energy.Workspace`) for the
+    intermediates.
+
+    Finite for any finite v: the amplitude regularizer and the
+    constant-scale treatment below the normalization floor keep every
+    path differentiable almost everywhere. Non-finite values are returned,
+    not raised: HMC counts them as divergences.
+    """
+    fw = _backward(energy._forward(v, params, with_phase, workspace=workspace), params)
     ws = fw.ws
     D, F, L = params.C.shape
     B = fw.V.shape[0]
@@ -113,31 +122,7 @@ def _grad_v(fw, params):
     visible = np.subtract(fw.V, params.b_v, out=ws("tmp", (B, D)))
     visible -= np.matmul(fw.sig_m, params.W.T, out=ws("tmp2", (B, D)))
     g_v += visible
-    return g_v
-
-
-def grad_free_energy_v(v, params, with_phase=True, workspace=None):
-    """dF/dv with the shape of v (single vector or batch of rows), from one
-    forward and one backward pass and no F: what the leapfrog integrator
-    takes. A new array in the dtype of the params, whether or not the
-    caller passes a `workspace` (an `energy.Workspace`) for the
-    intermediates.
-
-    Finite for any finite v: the amplitude regularizer and the
-    constant-scale treatment below the normalization floor keep every
-    path differentiable almost everywhere. Non-finite values are returned,
-    not raised: HMC counts them as divergences.
-    """
-    fw = energy._forward(v, params, with_phase, workspace=workspace)
-    return energy._view(fw, _grad_v(fw, params))
-
-
-def free_energy_and_grad_v(v, params, with_phase=True, workspace=None):
-    """(F, dF/dv) from one forward pass: `grad_free_energy_v` with F, as
-    `energy.free_energy` gives it, added. Both are new arrays."""
-    fw = energy._forward(v, params, with_phase, workspace=workspace)
-    f = energy._free_energy(fw, params).copy()
-    return energy._view(fw, f), energy._view(fw, _grad_v(fw, params))
+    return energy._view(fw, g_v)
 
 
 def grad_free_energy_params(v_batch, params, with_phase=True, workspace=None):

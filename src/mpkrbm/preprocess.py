@@ -74,6 +74,9 @@ class WhiteningTransform:
     @classmethod
     def load(cls, path):
         t = container.read_container(path)
+        missing = [n for n in ("mean", "forward", "inverse", "variance_fraction") if n not in t]
+        if missing:
+            raise DataError(f"{path}: whitening file missing tensors {missing}")
         return cls(
             mean=t["mean"],
             forward=t["forward"],

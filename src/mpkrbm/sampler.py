@@ -13,12 +13,14 @@ what leaves the target invariant, whatever gradient drove the map (Neal
 2011, "MCMC using Hamiltonian dynamics", section 5.5). So `hmc_chain`
 takes every leapfrog gradient from a float32 copy of the params, made
 once per call, through `grad.grad_free_energy_v`, which computes dF/dv
-alone and no F, and casts it back to float64; v and p stay float64. H at
-the start and end points comes from a float64 F, the only F a simulation
-computes, so the test is as exact as the float64 model: a float32 F is
-off by up to about 1e-3 nats at the paper shape, where |F| is in the
-hundreds, and that error would enter every delta H. Samples, like the
-params, are float64.
+alone and no F, and casts it back to float64; v and p stay float64.
+`leapfrog` takes the gradient at its start point and returns the one at
+its end point, so a simulation of K steps computes K gradients, each at a
+new position. H at the start and end points comes from a float64 F, the
+only F a simulation computes, so the test is as exact as the float64
+model: a float32 F is off by up to about 1e-3 nats at the paper shape,
+where |F| is in the hundreds, and that error would enter every delta H.
+Samples, like the params, are float64.
 """
 
 from dataclasses import dataclass, field
@@ -71,17 +73,23 @@ class HmcStats:
         return [f"{s:.8g},{r:.6g},{dh:.8g}" for s, r, dh in self.trace]
 
 
-def leapfrog(v, p, grad_fn, step_size, n_steps):
-    """Standard leapfrog integration; volume preserving and reversible
-    up to floating-point roundoff."""
+def leapfrog(v, p, grad, grad_fn, step_size, n_steps):
+    """Standard leapfrog integration from (v, p), given grad = dF/dv at v;
+    volume preserving and reversible up to floating-point roundoff.
+
+    Returns the end point, its momentum and dF/dv there, which is the start
+    gradient of a trajectory that begins at the end point. `grad_fn` runs
+    once per step, always at a new position.
+    """
     v = v.copy()
-    p = p - 0.5 * step_size * grad_fn(v)
+    p = p - 0.5 * step_size * grad
     for i in range(n_steps):
         v += step_size * p
+        grad = grad_fn(v)
         if i < n_steps - 1:
-            p -= step_size * grad_fn(v)
-    p -= 0.5 * step_size * grad_fn(v)
-    return v, p
+            p -= step_size * grad
+    p -= 0.5 * step_size * grad
+    return v, p, grad
 
 
 def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
@@ -95,12 +103,11 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
 
     Every forward pass of every simulation fills one workspace: the
     float32 gradients and the float64 F of the Hamiltonian each keep their
-    own buffers in it. F and dF/dv at the current state carry over from
-    one simulation to the next: an accepted row sits where the last
-    gradient and the end point's F were taken, a rejected one where the
-    first gradient and the start point's F were. So n simulations of K
-    leapfrog steps run n*K + 1 float32 gradient-only forwards and n + 1
-    float64 F-only forwards.
+    own buffers in it. F and dF/dv at v are taken once, before the first
+    simulation; after that each row keeps the end point's F and the
+    gradient `leapfrog` returns if it accepts, and its own if it rejects.
+    So n simulations of K leapfrog steps run n*K + 1 float32
+    gradient-only forwards and n + 1 float64 F-only forwards.
     """
     config.validate()
     if rng is None:
@@ -112,7 +119,6 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
 
     workspace = Workspace()
     params32 = params.astype(np.float32)
-    f_v = g_v = None   # F and dF/dv at v, carried over from the last simulation
 
     def f64(x):
         # non-finite values are kept: the Metropolis step counts them as divergences
@@ -122,21 +128,11 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
         g = grad_free_energy_v(x, params32, with_phase=with_phase, workspace=workspace)
         return g.astype(np.float64)
 
-    def grad_fn(x):
-        # leapfrog's first call is at the start point v, its last at the end point
-        if ends[0] is None:
-            ends[0] = ends[1] = g_v if g_v is not None else gradient(x)
-        else:
-            ends[1] = gradient(x)
-        return ends[1]
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_v, g_v = f64(v), gradient(v)     # F and dF/dv at v
         for _ in range(n_simulations):
-            if f_v is None:
-                f_v = f64(v)
             p0 = rng.standard_normal((B, D))
-            ends = [None, None]
-            v1, p1 = leapfrog(v, p0, grad_fn, eps, config.n_leapfrog)
+            v1, p1, g1 = leapfrog(v, p0, g_v, gradient, eps, config.n_leapfrog)
             f1 = f64(v1)
             h0 = f_v + 0.5 * np.sum(p0 * p0, axis=1)
             h1 = f1 + 0.5 * np.sum(p1 * p1, axis=1)
@@ -146,7 +142,7 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
             accept = finite & (np.log(rng.uniform(size=B)) < -delta_h)
             v = np.where(accept[:, None], v1, v)
             f_v = np.where(accept, f1, f_v)
-            g_v = np.where(accept[:, None], ends[1], ends[0])
+            g_v = np.where(accept[:, None], g1, g_v)
 
             n_acc = int(accept.sum())
             n_div = int(B - finite.sum())

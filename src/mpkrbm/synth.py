@@ -22,16 +22,6 @@ def wrap_angle(theta):
     return np.pi - np.mod(np.pi - np.asarray(theta, dtype=np.float64), TWO_PI)
 
 
-def bessel_i0(x):
-    """Zeroth-order modified Bessel function of the first kind, I0(x).
-
-    `np.i0` (Clenshaw's Chebyshev expansion) evaluates it to a few ulps;
-    a float for scalar input, an array of the input's shape otherwise.
-    """
-    out = np.i0(np.asarray(x, dtype=np.float64))
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class VonMisesPair:
     """Joint density over two angles, concentrated in their difference:
@@ -48,7 +38,7 @@ class VonMisesPair:
 def von_mises_pair_pdf(theta_i, theta_j, pair):
     """Joint density of a coupled phase pair; broadcasts over inputs."""
     diff = np.asarray(theta_i, dtype=np.float64) - theta_j - pair.mu
-    return np.exp(pair.kappa * np.cos(diff)) / (TWO_PI * TWO_PI * bessel_i0(pair.kappa))
+    return np.exp(pair.kappa * np.cos(diff)) / (TWO_PI * TWO_PI * np.i0(pair.kappa))
 
 
 def sample_von_mises(kappa, size, rng):

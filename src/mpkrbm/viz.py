@@ -16,10 +16,11 @@ GAP_VALUE = 128.0    # gray level of those pixels
 
 def pixel_tiles(filters, whitening):
     """Whitened-domain filters (rows of `filters`) as display tiles in the
-    raw pixel domain: an array (n, ps, ps), or (n, ps, ps, 3) for colour."""
+    raw pixel domain, through the whitening inverse and without the mean:
+    an array (n, ps, ps), or (n, ps, ps, 3) for colour."""
     ps = whitening.patch_size
     shape = (ps, ps, 3) if whitening.channels == 3 else (ps, ps)
-    return filters_to_pixel_space(filters, whitening).reshape((-1,) + shape)
+    return (np.atleast_2d(filters) @ whitening.inverse.T).reshape((-1,) + shape)
 
 
 def _scale_tile(tile):
@@ -50,12 +51,6 @@ def mosaic(tiles, n_columns=None):
         x = GAP + c * (tw + GAP)
         out[y:y + th, x:x + tw] = _scale_tile(tile)
     return out
-
-
-def filters_to_pixel_space(filters, whitening):
-    """Map whitened-domain filter columns (rows of `filters`) to raw pixel
-    vectors via the whitening inverse, without adding the mean."""
-    return np.atleast_2d(filters) @ whitening.inverse.T
 
 
 def subspace_tiles(params, whitening, kind="amplitude"):

@@ -127,8 +127,8 @@ def test_c04_leapfrog_reversibility():
         grad_fn = lambda x: grad_free_energy_v(x, params)
         v0 = rng.standard_normal((4, 4))
         p0 = rng.standard_normal((4, 4))
-        v1, p1 = leapfrog(v0, p0, grad_fn, 0.01, 20)
-        v2, p2 = leapfrog(v1, -p1, grad_fn, 0.01, 20)
+        v1, p1, g1 = leapfrog(v0, p0, grad_fn(v0), grad_fn, 0.01, 20)
+        v2, p2, _ = leapfrog(v1, -p1, g1, grad_fn, 0.01, 20)
         worst = max(worst, float(np.max(np.abs(v2 - v0))),
                     float(np.max(np.abs(-p2 - p0))))
     elapsed = time.time() - t0

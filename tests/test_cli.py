@@ -227,6 +227,51 @@ def test_preprocess_on_a_malformed_ppm_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "patches.mpk").exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "train", "export"])
+def test_resume_on_a_directory_exit_4(tmp_path, capsys, command):
+    cfg_path, _ = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    (tmp_path / "adir").mkdir()
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path), "--resume", str(tmp_path / "adir")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "adir" in err and err.count("\n") == 1
+
+
+def save_tiny_checkpoint(path, n_visible=6):
+    from mpkrbm.params import ModelShape, init_params, save_checkpoint
+
+    save_checkpoint(init_params(ModelShape(n_visible, 2, 2, 2, 2, 2, 2), seed=0), {}, path)
+    return path
+
+
+@pytest.mark.parametrize("entry, tensor", [("patches", "patches"), ("whitening", "mean")])
+def test_train_on_a_container_without_its_tensor_exit_2(tmp_path, capsys, entry, tensor):
+    # a [paths] entry naming a checkpoint: a well-formed file without the tensor
+    cfg_path, config = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    setattr(config.paths, entry, str(save_tiny_checkpoint(tmp_path / "ck.mpk")))
+    save_run_config(config, cfg_path)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ck.mpk" in err and tensor in err
+    assert err.count("\n") == 1
+
+
+def test_export_with_a_whitening_file_without_its_tensors_exit_2(tmp_path, capsys):
+    cfg_path, config = base_config(tmp_path)
+    ck = save_tiny_checkpoint(tmp_path / "ck.mpk")
+    config.paths.whitening = str(ck)
+    save_run_config(config, cfg_path)
+    assert main(["export", "--config", str(cfg_path), "--resume", str(ck)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ck.mpk" in err and "mean" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("hmc", "n_leapfrog", 0),
     ("trainer", "batch_size", 0),

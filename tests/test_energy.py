@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from mpkrbm.energy import (
     EPS_R,
-    energy_k,
-    energy_m,
-    energy_p,
     free_energy,
     hidden_conditionals,
-    inverse_covariance,
     phase_coupling_matrix,
     phase_features,
     sigmoid,
@@ -93,6 +89,21 @@ def rand_v(seed, d=4):
     return np.random.default_rng(seed).standard_normal(d)
 
 
+def visible_term(v, params):
+    return 0.5 * np.sum(v * v) - params.b_v @ v
+
+
+def family_energy(v, params, family, h):
+    """E_p, E_m or E_k (`family` "p", "m" or "k") at hiddens h, as
+    total_energy less the visible term with the other families' hiddens
+    at zero. Pooling and phase terms see the normalized patch, the mean
+    term v as given."""
+    hiddens = {"p": np.zeros(params.P.shape[1]), "m": np.zeros(params.W.shape[1]),
+               "k": np.zeros(params.R.shape[1])}
+    hiddens[family] = h
+    return total_energy(v, hiddens["p"], hiddens["m"], hiddens["k"], params) - visible_term(v, params)
+
+
 def test_pool_quadrature_amplitude():
     params = init_params(ModelShape(2, 1, 2, 1, 1, 1, 1), seed=0)
     params.C = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])      # projections (v0, v1)
@@ -139,46 +150,44 @@ def test_pool_rotation_invariance(angle, seed):
 
 
 def test_energy_p_zero_hiddens(tiny):
-    u = normalize_visible(rand_v(0))
-    assert energy_p(u, np.zeros(3), tiny) == 0.0
+    assert family_energy(rand_v(0), tiny, "p", np.zeros(3)) == 0.0
 
 
 def test_energy_p_bias_only():
     params = init_params(TINY_SHAPE, seed=0)
     params.P[:] = 0.0
     params.b_c[:] = 2.0
-    u = normalize_visible(rand_v(1))
-    assert np.isclose(energy_p(u, np.ones(3), params), -2.0 * 3)
+    assert np.isclose(family_energy(rand_v(1), params, "p", np.ones(3)), -2.0 * 3)
 
 
 def test_energy_p_matches_oracle(tiny):
     rng = np.random.default_rng(8)
-    u = normalize_visible(rng.standard_normal(4))
+    v = rng.standard_normal(4)
     h = rng.integers(0, 2, size=3).astype(float)
-    assert np.isclose(energy_p(u, h, tiny), oracle_energy_p(u, h, tiny), atol=1e-12)
+    expected = oracle_energy_p(normalize_visible(v), h, tiny)
+    assert np.isclose(family_energy(v, tiny, "p", h), expected, atol=1e-12)
 
 
 def test_energy_m_bias_only():
     params = init_params(TINY_SHAPE, seed=0)
     params.W[:] = 0.0
-    v = rand_v(2)
-    assert np.isclose(energy_m(v, np.ones(3), params), 2.0 * 3)
+    assert np.isclose(family_energy(rand_v(2), params, "m", np.ones(3)), 2.0 * 3)
 
 
 def test_energy_m_zero_hiddens(tiny):
-    assert energy_m(rand_v(3), np.zeros(3), tiny) == 0.0
+    assert family_energy(rand_v(3), tiny, "m", np.zeros(3)) == 0.0
 
 
 def test_energy_m_matches_oracle(tiny):
     rng = np.random.default_rng(9)
     v = rng.standard_normal(4)
     h = rng.integers(0, 2, size=3).astype(float)
-    assert np.isclose(energy_m(v, h, tiny), oracle_energy_m(v, h, tiny), atol=1e-12)
+    assert np.isclose(family_energy(v, tiny, "m", h), oracle_energy_m(v, h, tiny), atol=1e-12)
 
 
 def test_energy_m_shape_mismatch(tiny):
     with pytest.raises(ShapeError):
-        energy_m(rand_v(4), np.zeros(5), tiny)
+        total_energy(rand_v(4), np.zeros(3), np.zeros(5), np.zeros(3), tiny)
 
 
 def test_phase_features_axis_cases():
@@ -217,19 +226,20 @@ def test_phase_features_requires_l2():
 
 
 def test_energy_k_zero_cases(tiny):
-    u = normalize_visible(rand_v(6))
-    assert energy_k(u, np.zeros(3), tiny) == 0.0
+    v = rand_v(6)
+    assert family_energy(v, tiny, "k", np.zeros(3)) == 0.0
     zeroq = tiny.copy()
     zeroq.Q[:] = 0.0
     zeroq.b_k[:] = 0.0
-    assert energy_k(u, np.ones(3), zeroq) == 0.0
+    assert family_energy(v, zeroq, "k", np.ones(3)) == 0.0
 
 
 def test_energy_k_matches_oracle(tiny):
     rng = np.random.default_rng(10)
-    u = normalize_visible(rng.standard_normal(4))
+    v = rng.standard_normal(4)
     h = rng.integers(0, 2, size=3).astype(float)
-    assert np.isclose(energy_k(u, h, tiny), oracle_energy_k(u, h, tiny), atol=1e-12)
+    expected = oracle_energy_k(normalize_visible(v), h, tiny)
+    assert np.isclose(family_energy(v, tiny, "k", h), expected, atol=1e-12)
 
 
 def test_total_energy_quadratic_only(tiny):
@@ -252,8 +262,8 @@ def test_total_energy_composition(tiny):
     v = rng.standard_normal(4)
     u = normalize_visible(v)
     h_p, h_m, h_k = (rng.integers(0, 2, size=3).astype(float) for _ in range(3))
-    expected = (energy_p(u, h_p, tiny) + energy_m(v, h_m, tiny)
-                + energy_k(u, h_k, tiny) + 0.5 * np.sum(v * v) - tiny.b_v @ v)
+    expected = (oracle_energy_p(u, h_p, tiny) + oracle_energy_m(v, h_m, tiny)
+                + oracle_energy_k(u, h_k, tiny) + visible_term(v, tiny))
     assert np.isclose(total_energy(v, h_p, h_m, h_k, tiny), expected, atol=1e-12)
 
 
@@ -338,24 +348,6 @@ def test_conditionals_are_free_energy_bias_gradients(tiny):
             getattr(minus, field)[idx] -= step
             fd = (free_energy(v, plus) - free_energy(v, minus)) / (2 * step)
             assert np.isclose(-fd, probs[idx], rtol=1e-6, atol=1e-9)
-
-
-def test_inverse_covariance_zero_hiddens(tiny):
-    assert np.array_equal(inverse_covariance(np.zeros(3), tiny), np.zeros((4, 4)))
-
-
-def test_inverse_covariance_symmetry(tiny):
-    sigma_inv = inverse_covariance(np.ones(3), tiny)
-    assert np.max(np.abs(sigma_inv - sigma_inv.T)) < 1e-12
-
-
-def test_inverse_covariance_rank_one_case():
-    params = init_params(ModelShape(2, 1, 1, 1, 1, 1, 1), seed=0)
-    params.C = np.array([[[1.0]], [[2.0]]])
-    params.P = np.array([[-0.5]])
-    sigma_inv = inverse_covariance(np.ones(1), params)
-    c = np.array([1.0, 2.0])
-    assert np.allclose(sigma_inv, -0.5 * np.outer(c, c))
 
 
 def test_coupling_matrix_zero_hiddens(tiny):

@@ -13,7 +13,6 @@ from mpkrbm.grad import (
     check_gradients,
     finite_diff_param,
     finite_diff_v,
-    free_energy_and_grad_v,
     grad_free_energy_params,
     grad_free_energy_v,
     random_tiny_params,
@@ -170,20 +169,6 @@ def test_grad_v_continuous_near_zero():
         assert np.all(np.isfinite(g)), scale
 
 
-@pytest.mark.parametrize("alpha", [2.0, 1.5])
-@pytest.mark.parametrize("with_phase", [True, False])
-def test_free_energy_and_grad_v_match_free_energy_and_grad_v(alpha, with_phase):
-    params = random_tiny_params(20, alpha=alpha)
-    rng = np.random.default_rng(21)
-    for v in (rng.standard_normal(4), rng.standard_normal((5, 4))):
-        f, g = free_energy_and_grad_v(v, params, with_phase=with_phase)
-        expected_f = free_energy(v, params, with_phase=with_phase)
-        expected_g = grad_free_energy_v(v, params, with_phase=with_phase)
-        assert np.shape(f) == np.shape(expected_f) and g.shape == v.shape
-        assert rel_err(f, expected_f) <= 1e-12
-        assert rel_err(g, expected_g) <= 1e-12
-
-
 @pytest.mark.parametrize("alpha", [0.0, -1.0])
 def test_gradient_paths_reject_invalid_alpha(alpha):
     params = random_tiny_params(22)
@@ -206,14 +191,6 @@ def test_workspace_calls_return_arrays_of_their_own(with_phase):
     V1, V2 = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
     workspace = Workspace()
 
-    f1, g1 = free_energy_and_grad_v(V1, params, with_phase=with_phase, workspace=workspace)
-    kept = f1.copy(), g1.copy()
-    f2, g2 = free_energy_and_grad_v(V2, params, with_phase=with_phase, workspace=workspace)
-    assert np.array_equal(f1, kept[0]) and np.array_equal(g1, kept[1])
-    for (f, g), V in (((f1, g1), V1), ((f2, g2), V2)):
-        fresh_f, fresh_g = free_energy_and_grad_v(V, params, with_phase=with_phase)
-        assert np.array_equal(f, fresh_f) and np.array_equal(g, fresh_g)
-
     g1 = grad_free_energy_v(V1, params, with_phase=with_phase, workspace=workspace)
     kept = g1.copy()
     g2 = grad_free_energy_v(V2, params, with_phase=with_phase, workspace=workspace)
@@ -232,26 +209,12 @@ def test_workspace_calls_return_arrays_of_their_own(with_phase):
             assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
 
 
-@pytest.mark.parametrize("alpha", [2.0, 1.5])
-@pytest.mark.parametrize("with_phase", [True, False])
-def test_grad_v_is_the_gradient_of_free_energy_and_grad_v(alpha, with_phase):
-    # the leapfrog's gradient-only call gives the bits of the fused one, at
-    # float32 and float64 params sharing one workspace
-    params = random_tiny_params(26, alpha=alpha)
-    V = np.random.default_rng(27).standard_normal((6, 4))
-    workspace = Workspace()
-    for p in (params.astype(np.float32), params, params.astype(np.float32)):
-        g = grad_free_energy_v(V, p, with_phase=with_phase, workspace=workspace)
-        _, expected = free_energy_and_grad_v(V, p, with_phase=with_phase, workspace=workspace)
-        assert g.dtype == p.C.dtype and g.tobytes() == expected.tobytes()
-
-
 PAPER_SHAPE = ModelShape(200, 256, 2, 256, 100, 256, 256)
 
-# free_energy_and_grad_v at float64 params before float32 forwards existed,
-# on init_params(PAPER_SHAPE, 3) and 128 rows of N(0, I) from seed 4: the
-# first 16 hex digits of the SHA-256 of the F and dF/dv bytes, and their
-# sums as exact floats. The digest holds where it was recorded: numpy 2.4.6
+# F and dF/dv at float64 params, recorded from one fused call before float32
+# forwards existed, on init_params(PAPER_SHAPE, 3) and 128 rows of N(0, I)
+# from seed 4: the first 16 hex digits of the SHA-256 of the F and dF/dv
+# bytes, and their sums as exact floats. The digest holds where it was recorded: numpy 2.4.6
 # on OpenBLAS's SkylakeX kernels, at one and at two BLAS threads.
 FLOAT64_REFERENCE = {
     (2.0, True): ("993a8c678802f9ec", "-0x1.e2d4005466680p+18", "0x1.16d333e29f529p+13"),
@@ -267,9 +230,9 @@ def test_float64_forward_keeps_its_bits(alpha, with_phase):
     params = init_params(PAPER_SHAPE, 3, alpha=alpha)
     v = np.random.default_rng(4).standard_normal((128, 200))
     workspace = Workspace()     # holding float32 buffers of every name first
-    free_energy_and_grad_v(v, params.astype(np.float32), with_phase=with_phase,
-                           workspace=workspace)
-    f, g = free_energy_and_grad_v(v, params, with_phase=with_phase, workspace=workspace)
+    grad_free_energy_v(v, params.astype(np.float32), with_phase=with_phase, workspace=workspace)
+    f = free_energy(v, params, with_phase=with_phase)
+    g = grad_free_energy_v(v, params, with_phase=with_phase, workspace=workspace)
     assert f.dtype == g.dtype == np.float64
     digest, f_sum, g_sum = FLOAT64_REFERENCE[alpha, with_phase]
     if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
@@ -314,8 +277,8 @@ def test_float32_grad_v_is_close_to_float64(seed, alpha, with_phase):
     # most with the phase units, whose unit-circle map divides by r)
     params = init_params(PAPER_SHAPE, seed, alpha=alpha)
     v = np.random.default_rng(seed + 10).standard_normal((128, 200))
-    _, g64 = free_energy_and_grad_v(v, params, with_phase=with_phase)
-    _, g32 = free_energy_and_grad_v(v, params.astype(np.float32), with_phase=with_phase)
+    g64 = grad_free_energy_v(v, params, with_phase=with_phase)
+    g32 = grad_free_energy_v(v, params.astype(np.float32), with_phase=with_phase)
     assert g32.dtype == np.float32
     rel = np.linalg.norm(g32 - g64, axis=1) / np.linalg.norm(g64, axis=1)
     assert rel.max() < 1e-4

@@ -1,13 +1,15 @@
+import ctypes
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from mpkrbm import energy, grad
+from mpkrbm import blas, energy, grad
 from mpkrbm.energy import free_energy
 from mpkrbm.grad import grad_free_energy_v, random_tiny_params
-from mpkrbm.params import LEARNABLE_TENSORS, ModelParams
+from mpkrbm.params import LEARNABLE_TENSORS, ModelParams, ModelShape, init_params
 from mpkrbm.sampler import HmcConfig, gaussian_moment_probe, hmc_chain, leapfrog
 
 
@@ -39,8 +41,9 @@ def test_leapfrog_reversibility():
         grad_fn = lambda x: grad_free_energy_v(x, params)
         v0 = rng.standard_normal((3, 4))
         p0 = rng.standard_normal((3, 4))
-        v1, p1 = leapfrog(v0, p0, grad_fn, 0.01, 20)
-        v2, p2 = leapfrog(v1, -p1, grad_fn, 0.01, 20)
+        v1, p1, g1 = leapfrog(v0, p0, grad_fn(v0), grad_fn, 0.01, 20)
+        assert g1.tobytes() == grad_fn(v1).tobytes()
+        v2, p2, _ = leapfrog(v1, -p1, g1, grad_fn, 0.01, 20)
         assert np.max(np.abs(v2 - v0)) < 1e-8
         assert np.max(np.abs(-p2 - p0)) < 1e-8
 
@@ -233,3 +236,39 @@ def test_config_validation():
         HmcConfig(n_leapfrog=0).validate()
     with pytest.raises(ValueError):
         HmcConfig(target_rejection=1.5).validate()
+
+
+# Final positions and trace of hmc_chain, recorded before the leapfrog took
+# its start gradient as an argument: the first 16 hex digits of the SHA-256
+# of the position bytes followed by repr(stats.trace), the positions' sum as
+# an exact float, and the accepted count. The digest holds where it was
+# recorded, numpy 2.4.6 on OpenBLAS's SkylakeX kernels, at one and at two
+# BLAS threads.
+CHAIN_REFERENCE = {
+    "paper": ("679068a0620c8299", "0x1.cd3d7a53e36a8p+3", 25),
+    "tiny": ("504461ce739154e1", "0x1.4acfe316836c9p+4", 23),
+}
+REFERENCE_PLATFORM = ("2.4.6", b"SkylakeX")
+
+
+def reference_chain(case):
+    if case == "paper":     # rejects most proposals at this step, not all
+        params = init_params(ModelShape(200, 256, 2, 256, 100, 256, 256), 3)
+        v0 = 0.1 * np.random.default_rng(5).standard_normal((64, 200))
+        return hmc_chain(v0, params, HmcConfig(step_size=0.002, seed=6), 4)
+    v0 = np.random.default_rng(3).standard_normal((5, 4))
+    config = HmcConfig(n_leapfrog=3, step_size=0.5, seed=4)
+    return hmc_chain(v0, random_tiny_params(2), config, 6)
+
+
+@pytest.mark.parametrize("case", CHAIN_REFERENCE)
+def test_chain_keeps_its_bits(case):
+    v, stats = reference_chain(case)
+    digest, v_sum, accepted = CHAIN_REFERENCE[case]
+    assert 0 < stats.accepted < stats.proposed
+    if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
+        data = v.tobytes() + repr(stats.trace).encode()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+    # elsewhere float32 kernels round the trajectory differently
+    assert stats.accepted == accepted
+    assert v.sum() == pytest.approx(float.fromhex(v_sum), rel=1e-6)

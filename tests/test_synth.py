@@ -7,7 +7,6 @@ from mpkrbm.errors import DataError, ParameterError, ShapeError
 from mpkrbm.params import ModelShape, init_params
 from mpkrbm.synth import (
     VonMisesPair,
-    bessel_i0,
     quadrature_gabor_basis,
     render_quadrature_patches,
     sample_coupled_phases,
@@ -17,13 +16,6 @@ from mpkrbm.synth import (
 )
 
 TWO_PI = 2 * np.pi
-
-
-def test_bessel_i0_against_scipy():
-    x = np.concatenate([np.linspace(0, 14.9, 200), np.linspace(15, 80, 100)])
-    ours = bessel_i0(x)
-    ref = special.i0(x)
-    assert np.max(np.abs(ours - ref) / ref) < 1e-12
 
 
 def test_pdf_uniform_at_zero_kappa():
