@@ -130,8 +130,9 @@ def cmd_train(args):
         raise DataError(f"{patches_path}: patch file holds no 'patches' tensor")
     patches = tensors["patches"]
     whitening_path = config.paths.run_file("whitening")
-    if Path(whitening_path).exists():
-        patches = WhiteningTransform.load(whitening_path).apply(patches)
+    if Path(whitening_path).exists():     # present but not a regular file: MissingFileError
+        whitening = WhiteningTransform.load(_existing(whitening_path, "whitening file"))
+        patches = whitening.apply(patches)
     n_visible = patches.shape[1]
     if config.model.n_visible and config.model.n_visible != n_visible:
         raise ShapeError(

@@ -160,9 +160,12 @@ def parse_run_config(text):
 def load_run_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_run_config(fh.read())
+            text = fh.read()
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:     # a directory, or not UTF-8 text
+        raise ConfigError(f"config file unreadable: {path}: {exc}") from exc
+    return parse_run_config(text)
 
 
 def save_run_config(config, path):

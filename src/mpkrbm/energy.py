@@ -35,10 +35,12 @@ eps^2) share one sum of squares; any other alpha raises |y| to its power.
 
 The intermediates are written with `out=` operations into a `Workspace`,
 a set of named buffers reused from one call to the next. Whoever creates
-a workspace owns it: `sampler.hmc_chain` keeps one for every gradient
-call of its simulations, `trainer.cd1_step` one for its two
-parameter-gradient passes. A call given no workspace gets a fresh one, so
-there is one code path either way. Arrays returned by the gradient
+a workspace owns it: `sampler.hmc_chain` keeps one for the float32
+gradients of its simulations and two that their float64 forwards with F
+take turns with, `sampler.Chain.at` one for the forward it makes, and
+`trainer.cd1_step` one for the backward buffers that its two
+parameter-gradient passes share. A call given no workspace gets a fresh
+one, so there is one code path either way. Arrays returned by the gradient
 functions are never workspace buffers; the views here each run on a
 fresh workspace, so what they return is the caller's alone.
 
@@ -74,9 +76,10 @@ class Workspace:
 
     `dtype` is the type of a request that names none. `_forward` works in
     the dtype of its params through `as_dtype`, a view that shares the
-    buffers, so one workspace serves a float32 and a float64 caller side
-    by side (`sampler.hmc_chain` runs both) and the two never share a
-    buffer.
+    buffers, so a workspace handed to a call of the other dtype still gets
+    buffers of the call's dtype and never one of the other's. Every owner
+    in the package keeps one workspace per dtype; the float32-then-float64
+    use is pinned by `test_grad.py::test_float64_forward_keeps_its_bits`.
     """
 
     def __init__(self, dtype=np.float64, buffers=None):

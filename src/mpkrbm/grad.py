@@ -7,19 +7,24 @@ the patch normalization, the pooled subspace norm and the regularized
 unit-circle map, and are locked in by the central-difference harness
 at the bottom of this module.
 
-Neither route has a forward pass of its own: each runs the one forward
-in `energy` (`energy._forward`) and goes backward from its
-intermediates. F is computed on request (`energy._free_energy`) from the
-same forward: `grad_free_energy_v`, what the leapfrog takes, skips it;
-`grad_free_energy_params` carries the per-row F of its batch. At alpha = 2
-the backward takes d s / d y = y / s, which equals sign(y) |y| / s bit for
-bit but for the sign of a zero y; any other alpha takes
-(|y| / s)**(alpha - 1) sign(y).
+Neither route has a forward pass of its own: each goes backward from the
+intermediates of the one forward in `energy` (`energy._forward`). F is
+computed on request (`energy._free_energy`) from the same forward:
+`grad_free_energy_v`, what the leapfrog takes, skips it. The parameter
+gradient has one entry, `grad_params_from_forward`, which runs the
+backward from a forward with F that the caller already has and carries
+the per-row F of its batch: CD-1 passes it the forwards HMC's Metropolis
+test computed, at the data and at the model rows.
+`grad_free_energy_params` is rows -> forward with F -> that entry. At
+alpha = 2 the backward takes d s / d y = y / s, which equals
+sign(y) |y| / s bit for bit but for the sign of a zero y; any other alpha
+takes (|y| / s)**(alpha - 1) sign(y).
 
-Both take an optional `energy.Workspace`, owned by the caller, that holds
-the forward and backward intermediates from one call to the next. What
-they return is always a new array, never a workspace buffer, so a result
-survives any later call through the same workspace.
+Each takes an optional `energy.Workspace`, owned by the caller, that holds
+the intermediates from one call to the next: `grad_params_from_forward`
+its backward's alone, so that two forwards can share one set of backward
+buffers. What they return is always a new array, never a workspace buffer,
+so a result survives any later call through the same workspace.
 """
 
 from dataclasses import dataclass, field
@@ -49,10 +54,9 @@ class ParamGradient:
     f_rows: np.ndarray = None
 
 
-def _backward(fw, params):
+def _backward(fw, params, ws):
     """Add the hidden gates and dF/dy (B, F, L), the derivative of F at
-    the subspace projections, to a forward pass, in its workspace."""
-    ws = fw.ws
+    the subspace projections, to a forward pass, in workspace `ws`."""
     B, F, L = fw.Y.shape
     fw.sig_p = energy._sigmoid(ws, "p", fw.phi, fw.e_p)
     fw.sig_m = energy._sigmoid(ws, "m", fw.m, fw.e_m)
@@ -102,8 +106,9 @@ def grad_free_energy_v(v, params, with_phase=True, workspace=None):
     path differentiable almost everywhere. Non-finite values are returned,
     not raised: HMC counts them as divergences.
     """
-    fw = _backward(energy._forward(v, params, with_phase, workspace=workspace), params)
+    fw = energy._forward(v, params, with_phase, workspace=workspace)
     ws = fw.ws
+    _backward(fw, params, ws)
     D, F, L = params.C.shape
     B = fw.V.shape[0]
     g_u = np.matmul(fw.dy.reshape(B, F * L), params.C.reshape(D, F * L).T,
@@ -126,37 +131,45 @@ def grad_free_energy_v(v, params, with_phase=True, workspace=None):
 
 
 def grad_free_energy_params(v_batch, params, with_phase=True, workspace=None):
-    """Mean over batch rows of dF/dTheta for every learnable tensor, with
-    the per-row F of the batch in `f_rows`; every field is a new array,
-    whether or not the caller passes a `workspace` for the intermediates.
-
-    Tensors of the phase family come back zero when `with_phase` is off.
-    A non-finite drive or visible term raises NumericError, as in
-    `energy.free_energy`.
-    """
+    """`grad_params_from_forward` at the rows of `v_batch`, from a forward
+    run here, with F, in `workspace` (a fresh one if none is given)."""
     V = np.atleast_2d(np.asarray(v_batch, dtype=np.float64))
     if V.shape[0] == 0:
         raise DataError("empty batch")
-    B = V.shape[0]
-    D, F, L = params.C.shape
     fw = energy._forward(V, params, with_phase, workspace=workspace)
-    f_rows = energy._free_energy(fw, params).copy()
-    energy._check_finite(fw, "grad_free_energy_params")
-    _backward(fw, params)
+    energy._free_energy(fw, params)
+    return grad_params_from_forward(fw, params)
 
+
+def grad_params_from_forward(fw, params, workspace=None):
+    """Mean over batch rows of dF/dTheta for every learnable tensor, with
+    the per-row F of the batch in `f_rows`, from a float64 forward
+    (`energy._forward`) whose F `energy._free_energy` has computed. The
+    backward's intermediates go into `workspace`, the forward's own if none
+    is given, and are added to `fw`; the forward's arrays are only read.
+    Every field is a new array.
+
+    Tensors of the phase family come back zero when the forward ran
+    without the phase units. A non-finite drive or visible term raises
+    NumericError, as in `energy.free_energy`.
+    """
+    energy._check_finite(fw, "grad_params_from_forward")
+    _backward(fw, params, fw.ws if workspace is None else workspace)
+    B = fw.V.shape[0]
+    D, F, L = params.C.shape
     g = ParamGradient(
         C=(fw.U.T @ fw.dy.reshape(B, F * L)).reshape(D, F, L) / B,
         P=-0.5 * fw.s.T @ fw.sig_p / B,
-        W=-V.T @ fw.sig_m / B,
+        W=-fw.V.T @ fw.sig_m / B,
         Q=np.zeros_like(params.Q),
         R=np.zeros_like(params.R),
         b_c=-fw.sig_p.mean(axis=0),
         b_m=-fw.sig_m.mean(axis=0),
         b_k=np.zeros_like(params.b_k),
-        b_v=-V.mean(axis=0),
-        f_rows=f_rows,
+        b_v=-fw.V.mean(axis=0),
+        f_rows=fw.f.copy(),
     )
-    if with_phase:
+    if fw.with_phase:
         g.Q = (fw.x.reshape(B, F * L).T @ fw.g_q).reshape(params.Q.shape) / B
         g.R = -0.5 * (fw.q * fw.q).T @ fw.sig_k / B
         g.b_k = -fw.sig_k.mean(axis=0)

@@ -21,9 +21,20 @@ only F a simulation computes, so the test is as exact as the float64
 model: a float32 F is off by up to about 1e-3 nats at the paper shape,
 where |F| is in the hundreds, and that error would enter every delta H.
 Samples, like the params, are float64.
+
+One simulation is `hmc_step`, which carries the state of the chains from
+one simulation to the next: a `Chain`, the float64 forward with F at the
+rows, and dF/dv there. It runs K float32 gradient-only forwards and one
+float64 forward with F, at the end point. `hmc_chain` loops over it, and
+adds one float32 forward at the start for dF/dv, and one float64 forward
+there if it was given rows, not a Chain. CD-1 (`trainer.cd1_step`) gives
+it the data's Chain and runs its parameter gradients from the data's
+forward and the returned model rows' forward, so an iteration at the
+default K = 20 runs 23 forwards: 21 float32 and 2 float64.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,64 +103,113 @@ def leapfrog(v, p, grad, grad_fn, step_size, n_steps):
     return v, p, grad
 
 
+@dataclass
+class Chain:
+    """The state of a batch of chains, one per row: the float64 forward
+    (`energy._forward`) at the rows, with F. Made by `Chain.at`; `hmc_chain`
+    returns one when it is given one."""
+
+    forward: SimpleNamespace
+
+    @classmethod
+    def at(cls, rows, params, with_phase=True):
+        """A chain at `rows` (B, D), its forward in a workspace of its own."""
+        fw = _forward(rows, params, with_phase, workspace=Workspace())
+        _free_energy(fw, params)
+        return cls(fw)
+
+    @property
+    def rows(self):
+        return self.forward.V
+
+    @property
+    def f(self):
+        return self.forward.f
+
+
+def hmc_step(chain, grad, params, gradient, n_leapfrog, step_size, rng, with_phase, workspace):
+    """One HMC simulation of every row of `chain`, whose dF/dv is `grad`:
+    a fresh momentum, `n_leapfrog` leapfrog steps driven by `gradient`
+    (dF/dv at given rows, float64), the float64 forward with F of the end
+    point in `workspace`, and the Metropolis test on H. Returns the next
+    chain, its dF/dv, the accept mask and delta H (B,); a non-finite
+    delta H is rejected.
+
+    The next chain is the end point's, with every rejected row of every
+    array of its forward, and of dF/dv, overwritten by the one of `chain`,
+    so that its forward equals, bit for bit, one run afresh on the rows it
+    holds. It lives in `workspace`, which therefore must not hold
+    `chain.forward`. One step runs `n_leapfrog` gradients and one float64
+    forward.
+    """
+    B, D = chain.rows.shape
+    p0 = rng.standard_normal((B, D))
+    v1, p1, g1 = leapfrog(chain.rows, p0, grad, gradient, step_size, n_leapfrog)
+    proposal = _forward(v1, params, with_phase, workspace=workspace)
+    f1 = _free_energy(proposal, params)
+    h0 = chain.f + 0.5 * np.sum(p0 * p0, axis=1)
+    h1 = f1 + 0.5 * np.sum(p1 * p1, axis=1)
+    delta_h = h1 - h0
+    accept = np.isfinite(delta_h) & (np.log(rng.uniform(size=B)) < -delta_h)
+
+    rejected = np.flatnonzero(~accept)
+    for name, new in vars(proposal).items():     # proposal.V is v1
+        if isinstance(new, np.ndarray):
+            new[rejected] = getattr(chain.forward, name)[rejected]
+    g1[rejected] = grad[rejected]
+    return Chain(proposal), g1, accept, delta_h
+
+
 def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
               step_size=None):
-    """Run `n_simulations` HMC simulations on every row of v0.
+    """Run `n_simulations` HMC simulations (`hmc_step`) on every row of
+    v0, rows or a `Chain`; rows start from `Chain.at` them.
 
-    Returns the final positions and an HmcStats whose current_step_size
-    carries the adapted value (pass it back via `step_size` to continue a
-    chain across calls). A caller-supplied `rng` preserves its stream, so
-    repeated 1-simulation calls match one n-simulation call exactly.
+    Returns what it was given, rows at the final positions or the final
+    Chain, and an HmcStats whose current_step_size carries the adapted
+    value (pass it back via `step_size` to continue a chain across calls).
+    A caller-supplied `rng` preserves its stream, so repeated 1-simulation
+    calls match one n-simulation call exactly.
 
-    Every forward pass of every simulation fills one workspace: the
-    float32 gradients and the float64 F of the Hamiltonian each keep their
-    own buffers in it. F and dF/dv at v are taken once, before the first
-    simulation; after that each row keeps the end point's F and the
-    gradient `leapfrog` returns if it accepts, and its own if it rejects.
-    So n simulations of K leapfrog steps run n*K + 1 float32
-    gradient-only forwards and n + 1 float64 F-only forwards.
+    The float32 gradients of the trajectory keep their own workspace; the
+    simulations keep their float64 forwards in two workspaces they take
+    turns with, neither the one of v0's forward, which stays intact.
+    dF/dv at the start is taken before the first simulation. So n
+    simulations of K leapfrog steps run n*K + 1 float32 gradient-only
+    forwards and n float64 forwards with F, one more given rows.
     """
     config.validate()
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    v = np.atleast_2d(np.asarray(v0, dtype=np.float64)).copy()
-    B, D = v.shape
     eps = config.step_size if step_size is None else step_size
     stats = HmcStats()
 
-    workspace = Workspace()
+    workspace32 = Workspace(np.float32)
+    workspaces = (Workspace(), Workspace())
     params32 = params.astype(np.float32)
 
-    def f64(x):
-        # non-finite values are kept: the Metropolis step counts them as divergences
-        return _free_energy(_forward(x, params, with_phase, workspace=workspace), params).copy()
-
     def gradient(x):
-        g = grad_free_energy_v(x, params32, with_phase=with_phase, workspace=workspace)
+        g = grad_free_energy_v(x, params32, with_phase=with_phase, workspace=workspace32)
         return g.astype(np.float64)
 
+    # non-finite values are kept: the Metropolis step counts them as divergences
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f_v, g_v = f64(v), gradient(v)     # F and dF/dv at v
-        for _ in range(n_simulations):
-            p0 = rng.standard_normal((B, D))
-            v1, p1, g1 = leapfrog(v, p0, g_v, gradient, eps, config.n_leapfrog)
-            f1 = f64(v1)
-            h0 = f_v + 0.5 * np.sum(p0 * p0, axis=1)
-            h1 = f1 + 0.5 * np.sum(p1 * p1, axis=1)
-            delta_h = h1 - h0
-
+        if isinstance(v0, Chain):
+            chain = v0
+        else:
+            chain = Chain.at(np.array(v0, dtype=np.float64, ndmin=2), params, with_phase)
+        grad = gradient(chain.rows)
+        for i in range(n_simulations):
+            chain, grad, accept, delta_h = hmc_step(chain, grad, params, gradient,
+                                                    config.n_leapfrog, eps, rng, with_phase,
+                                                    workspaces[i % 2])
             finite = np.isfinite(delta_h)
-            accept = finite & (np.log(rng.uniform(size=B)) < -delta_h)
-            v = np.where(accept[:, None], v1, v)
-            f_v = np.where(accept, f1, f_v)
-            g_v = np.where(accept[:, None], g1, g_v)
-
             n_acc = int(accept.sum())
-            n_div = int(B - finite.sum())
+            n_div = int(accept.size - finite.sum())
             stats.accepted += n_acc
-            stats.proposed += B
+            stats.proposed += accept.size
             stats.divergences += n_div
-            rejection = 1.0 - n_acc / B
+            rejection = 1.0 - n_acc / accept.size
             mean_dh = float(np.mean(delta_h[finite])) if finite.any() else float("nan")
             stats.trace.append((eps, rejection, mean_dh))
 
@@ -163,7 +223,9 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
     stats.current_step_size = eps
     finite_dh = [dh for _, _, dh in stats.trace if np.isfinite(dh)]
     stats.mean_delta_h = float(np.mean(finite_dh)) if finite_dh else float("nan")
-    return (v if np.ndim(v0) > 1 else v[0]), stats
+    if isinstance(v0, Chain):
+        return chain, stats
+    return (chain.rows if np.ndim(v0) > 1 else chain.rows[0]), stats
 
 
 def gaussian_moment_probe(n_chains=500, burn=400, keep=100, seed=0, dim=10,

@@ -13,9 +13,9 @@ import numpy as np
 from . import blas
 from .energy import Workspace
 from .errors import DataError, NumericError, ParameterError
-from .grad import grad_free_energy_params
+from .grad import grad_params_from_forward
 from .params import LEARNABLE_TENSORS, banded_pattern, project_constraints, save_checkpoint
-from .sampler import HmcConfig, hmc_chain
+from .sampler import Chain, HmcConfig, hmc_chain
 
 ALL_TENSORS = frozenset(LEARNABLE_TENSORS)
 
@@ -110,8 +110,8 @@ class StepMetrics:
         return ",".join(fields)
 
 
-def _hmc_negative_sampler(batch, params, hmc_config, step_size, rng, with_phase):
-    return hmc_chain(batch, params, hmc_config, 1, rng=rng,
+def _hmc_negative_sampler(data, params, hmc_config, step_size, rng, with_phase):
+    return hmc_chain(data, params, hmc_config, 1, rng=rng,
                      with_phase=with_phase, step_size=step_size)
 
 
@@ -120,20 +120,35 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
              iteration=0, stage=0):
     """One CD-1 update. Returns (new params, new step size, metrics).
 
+    The data's float64 forward, with F, is run once (`sampler.Chain.at`)
+    and serves both HMC, whose simulation starts there, and the data's
+    parameter gradient. The simulation returns the model rows' forward:
+    the proposal's, with each rejected row taken from the data's, which is
+    what a forward of the model rows would compute, bit for bit. Both
+    parameter gradients run their backward passes from these two forwards
+    (`grad.grad_params_from_forward`) in one shared workspace, and f_data
+    and f_model are the means of their F. An iteration of K leapfrog steps
+    runs K + 1 float32 forwards and 2 float64 ones, 23 at the default
+    K = 20.
+
     A NaN anywhere in the proposed update aborts the step with the
     original params intact. `negative_sampler` is an injection point for
-    tests (defaults to one HMC simulation started at the data).
+    tests: it takes the data's Chain where `sampler.hmc_chain` does and
+    returns the model's Chain (defaults to one HMC simulation started at
+    the data).
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
         raise DataError("empty batch")
     sampler_fn = negative_sampler or _hmc_negative_sampler
-    model_batch, stats = sampler_fn(batch, params, hmc_config, step_size, rng, with_phase)
+    data = Chain.at(batch, params, with_phase)
+    model, stats = sampler_fn(data, params, hmc_config, step_size, rng, with_phase)
 
-    workspace = Workspace()
-    g_data = grad_free_energy_params(batch, params, with_phase=with_phase, workspace=workspace)
-    g_model = grad_free_energy_params(model_batch, params, with_phase=with_phase,
-                                      workspace=workspace)
+    workspace = Workspace()     # the backward buffers of both passes
+    g_data = grad_params_from_forward(data.forward, params, workspace)
+    del data                    # each forward is freed once its pass is done
+    g_model = grad_params_from_forward(model.forward, params, workspace)
+    del model
 
     updates, norms = {}, {}
     for name in LEARNABLE_TENSORS:

@@ -306,6 +306,31 @@ def test_paths_entries_place_the_run_files(tmp_path):
                                                                      "metrics.csv"]
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_train_on_an_unreadable_config_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "bad.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"[paths]\nout_dir = \xff\n")
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.cfg" in err and err.count("\n") == 1
+
+
+def test_train_with_a_whitening_directory_exit_4(tmp_path, capsys):
+    cfg_path, config = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    config.paths.whitening = str(tmp_path / "wdir")
+    (tmp_path / "wdir").mkdir()
+    save_run_config(config, cfg_path)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "wdir" in err and err.count("\n") == 1
+
+
 def test_train_without_patches_exit_4(tmp_path):
     path, _ = base_config(tmp_path)
     assert main(["train", "--config", str(path)]) == 4

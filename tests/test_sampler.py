@@ -10,7 +10,7 @@ from mpkrbm import blas, energy, grad
 from mpkrbm.energy import free_energy
 from mpkrbm.grad import grad_free_energy_v, random_tiny_params
 from mpkrbm.params import LEARNABLE_TENSORS, ModelParams, ModelShape, init_params
-from mpkrbm.sampler import HmcConfig, gaussian_moment_probe, hmc_chain, leapfrog
+from mpkrbm.sampler import Chain, HmcConfig, gaussian_moment_probe, hmc_chain, leapfrog
 
 
 def zero_params(dim):
@@ -104,6 +104,46 @@ def test_f_runs_only_for_the_hamiltonian(count_calls):
         assert {args[1].C.dtype.name for args in f_calls["args"]} == {"float64"}
         assert gradients["n"] == n * k + 1
         assert {args[1].C.dtype.name for args in gradients["args"]} == {"float32"}
+
+
+def forward_arrays(fw):
+    """name -> array for every row array of a forward pass (with F)."""
+    return {name: a for name, a in vars(fw).items() if isinstance(a, np.ndarray)}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("with_phase, step", [(True, 0.01), (False, 0.5)])
+def test_a_kept_forward_is_a_fresh_forward_of_its_rows(with_phase, step, n):
+    # the forward a Chain gets back mixes the proposal's rows with the rows
+    # it rejected; every array of it, all that the parameter gradient reads,
+    # is what a forward of the final rows computes, bit for bit
+    params = init_params(ModelShape(200, 256, 2, 256, 100, 256, 256), 3)
+    v0 = np.random.default_rng(4).standard_normal((32, 200))
+    data = Chain.at(v0, params, with_phase)
+    before = {name: a.copy() for name, a in forward_arrays(data.forward).items()}
+    config = HmcConfig(step_size=step, seed=5)
+    model, stats = hmc_chain(data, params, config, n, rng=np.random.default_rng(6),
+                             with_phase=with_phase)
+    assert 0 < stats.accepted < stats.proposed
+
+    fresh = energy._forward(model.rows, params, with_phase)
+    energy._free_energy(fresh, params)
+    kept = forward_arrays(model.forward)
+    assert kept.keys() == forward_arrays(fresh).keys()
+    for name, a in forward_arrays(fresh).items():
+        assert np.array_equal(kept[name], a), name
+    from_kept = grad.grad_params_from_forward(model.forward, params)
+    from_rows = grad.grad_free_energy_params(model.rows, params, with_phase=with_phase)
+    for name in LEARNABLE_TENSORS + ("f_rows",):
+        assert np.array_equal(getattr(from_kept, name), getattr(from_rows, name)), name
+
+    # the data's forward is left as it was, and rows given in place of the
+    # Chain reach the same rows and trace
+    for name, a in forward_arrays(data.forward).items():
+        assert np.array_equal(a, before[name]), name
+    rows, by_rows = hmc_chain(v0, params, config, n, rng=np.random.default_rng(6),
+                              with_phase=with_phase)
+    assert np.array_equal(rows, model.rows) and by_rows.trace == stats.trace
 
 
 def test_chain_returns_float64_and_leaves_its_params_alone():

@@ -1,10 +1,12 @@
+import ctypes
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mpkrbm import energy
+from mpkrbm import blas, energy
 from mpkrbm.energy import free_energy
 from mpkrbm.errors import DataError, NumericError
 from mpkrbm.grad import grad_free_energy_params, random_tiny_params
@@ -16,7 +18,7 @@ from mpkrbm.params import (
     load_checkpoint,
     project_constraints,
 )
-from mpkrbm.sampler import HmcConfig, HmcStats
+from mpkrbm.sampler import Chain, HmcConfig, HmcStats
 from mpkrbm.trainer import (
     ALL_TENSORS,
     PatchCycler,
@@ -29,20 +31,20 @@ from mpkrbm.trainer import (
 )
 
 
-def identity_sampler(batch, params, hmc_config, step_size, rng, with_phase):
+def identity_sampler(data, params, hmc_config, step_size, rng, with_phase):
     """Test hook: the 'model' batch is exactly the data batch."""
-    stats = HmcStats(accepted=batch.shape[0], proposed=batch.shape[0],
+    stats = HmcStats(accepted=data.rows.shape[0], proposed=data.rows.shape[0],
                      current_step_size=step_size or 0.01)
     stats.trace.append((stats.current_step_size, 0.0, 0.0))
-    return batch.copy(), stats
+    return Chain.at(data.rows.copy(), params, with_phase), stats
 
 
 def shift_sampler(offset):
-    def sampler(batch, params, hmc_config, step_size, rng, with_phase):
-        stats = HmcStats(accepted=batch.shape[0], proposed=batch.shape[0],
+    def sampler(data, params, hmc_config, step_size, rng, with_phase):
+        stats = HmcStats(accepted=data.rows.shape[0], proposed=data.rows.shape[0],
                          current_step_size=step_size or 0.01)
         stats.trace.append((stats.current_step_size, 0.0, 0.0))
-        return batch + offset, stats
+        return Chain.at(data.rows + offset, params, with_phase), stats
     return sampler
 
 
@@ -126,8 +128,8 @@ def test_metrics_are_the_free_energies_of_both_batches(with_phase):
 def test_metrics_rows_carry_the_sampler_health():
     params, batch = small_setup(13)
 
-    def unhealthy_sampler(batch, params, hmc_config, step_size, rng, with_phase):
-        model, stats = identity_sampler(batch, params, hmc_config, step_size, rng, with_phase)
+    def unhealthy_sampler(data, params, hmc_config, step_size, rng, with_phase):
+        model, stats = identity_sampler(data, params, hmc_config, step_size, rng, with_phase)
         stats.divergences, stats.mean_delta_h = 2, 0.25
         return model, stats
 
@@ -164,11 +166,51 @@ def test_cd1_step_takes_its_metrics_from_the_gradient_passes(count_calls):
     cd1_step(batch, params, TrainerConfig(batch_size=6, seed=0), HmcConfig(n_leapfrog=20),
              0.01, np.random.default_rng(5))
     assert f_calls["n"] == 0
-    # 21 float32 gradient evaluations and 2 float64 F-only forwards in HMC,
-    # then two float64 parameter-gradient passes
-    assert forwards["n"] == 25
+    # 21 float32 gradient evaluations in HMC and 2 float64 forwards with F,
+    # at the data and at the proposal, from which both parameter-gradient
+    # passes run their backward
+    assert forwards["n"] == 23
     assert Counter(args[1].C.dtype.name for args in forwards["args"]) == {
-        "float32": 21, "float64": 4}
+        "float32": 21, "float64": 2}
+
+
+# One cd1_step at the paper shape on 32 rows of N(0, I) from seed 4, from
+# init_params(PAPER_SHAPE, 3), at a step size that accepts some rows and
+# rejects others: the first 16 hex digits of the SHA-256 of the new params'
+# bytes in LEARNABLE_TENSORS order followed by repr() of f_data, f_model,
+# the rejection rate and the new step size; f_data, f_model and the sum of
+# the grad norms as exact floats; the rejected count. The digest holds
+# where it was recorded, numpy 2.4.6 on OpenBLAS's SkylakeX kernels, at one
+# and at two BLAS threads. The grad norms are not in it: np.linalg.norm
+# sums through BLAS, whose threads split the sum, so their last bits
+# follow the thread count.
+CD1_REFERENCE = {
+    "phase": (0.01, "bbf669442dfc7311", "-0x1.dd9a00b85830cp+11", "-0x1.218c9a39d91f8p+12",
+              "0x1.3d8cd03d14ea5p+11", 22),
+    "no-phase": (0.5, "88a9158aeb672d0a", "-0x1.f69327f4a9cecp+8", "-0x1.45453d745aa44p+9",
+                 "0x1.e496b142fd916p+7", 4),
+}
+REFERENCE_PLATFORM = ("2.4.6", b"SkylakeX")
+PAPER_SHAPE = ModelShape(200, 256, 2, 256, 100, 256, 256)
+
+
+@pytest.mark.parametrize("case", CD1_REFERENCE)
+def test_cd1_step_keeps_its_bits(case):
+    step, digest, f_data, f_model, norm_sum, rejected = CD1_REFERENCE[case]
+    batch = np.random.default_rng(4).standard_normal((32, 200))
+    out, new_step, metrics = cd1_step(batch, init_params(PAPER_SHAPE, 3),
+                                      TrainerConfig(batch_size=32), HmcConfig(seed=5), step,
+                                      np.random.default_rng(6), with_phase=case == "phase")
+    assert 0 < metrics.rejection_rate < 1
+    if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
+        summary = (metrics.f_data, metrics.f_model, metrics.rejection_rate, new_step)
+        data = b"".join(getattr(out, name).tobytes() for name in LEARNABLE_TENSORS)
+        assert hashlib.sha256(data + repr(summary).encode()).hexdigest()[:16] == digest
+    # elsewhere float32 kernels round the trajectory differently
+    assert round(metrics.rejection_rate * 32) == rejected
+    assert metrics.f_data == pytest.approx(float.fromhex(f_data), rel=1e-9)
+    assert metrics.f_model == pytest.approx(float.fromhex(f_model), rel=1e-6)
+    assert sum(metrics.grad_norms.values()) == pytest.approx(float.fromhex(norm_sum), rel=1e-6)
 
 
 def test_non_finite_model_batch_raises_with_nothing_trainable():
@@ -329,13 +371,13 @@ def test_training_reduces_data_free_energy():
 def test_nan_update_aborts_step():
     params, batch = small_setup(12)
 
-    def nan_sampler(batch_, params_, hmc_config, step_size, rng, with_phase):
-        bad = batch_.copy()
+    def nan_sampler(data, params_, hmc_config, step_size, rng, with_phase):
+        bad = data.rows.copy()
         bad[0, 0] = np.nan
-        stats = HmcStats(accepted=0, proposed=batch_.shape[0],
+        stats = HmcStats(accepted=0, proposed=bad.shape[0],
                          current_step_size=step_size or 0.01)
         stats.trace.append((stats.current_step_size, 1.0, np.nan))
-        return bad, stats
+        return Chain.at(bad, params_, with_phase), stats
 
     from mpkrbm.errors import NumericError
     with pytest.raises(NumericError):
