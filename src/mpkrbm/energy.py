@@ -29,6 +29,14 @@ plus the visible term, at given hiddens) on the raw patch;
 has normalized. `grad` runs its backward pass from the same
 intermediates.
 
+Each gate's sigmoid, 1/(1+e) where its drive y >= 0 and e/(1+e)
+elsewhere with e = exp(-|y|), is branch-free (`_sigmoid`): one unmasked
+divide of max(e, [y >= 0]) by 1 + e, bit for bit the two divisions. The
+drives of a trained model have mixed signs, and a divide masked by the
+sign runs numpy's inner loop once per run of equal signs. The float32
+dF/dv, the float64 parameter-gradient backward and `hidden_conditionals`
+all take this one helper.
+
 At alpha = 2, the paper's case, |y|**2 is y*y bit for bit, so the pooled
 amplitude s = sqrt(sum y^2) and the phase amplitude r = sqrt(sum y^2 +
 eps^2) share one sum of squares; any other alpha raises |y| to its power.
@@ -114,11 +122,16 @@ def _softplus(ws, y, e):
 
 def _sigmoid(ws, name, y, e):
     """1 / (1 + exp(-y)) from e = exp(-|y|): 1/(1+e) where y >= 0,
-    e/(1+e) elsewhere (NaN included)."""
-    den = np.add(e, 1.0, out=ws("tmp", y.shape))
-    out = np.divide(e, den, out=ws(name + ".sigmoid", y.shape))
+    e/(1+e) elsewhere (NaN included).
+
+    Branch-free: the numerator max(e, [y >= 0]) is 1 where y >= 0 (e <= 1)
+    and e elsewhere, and NaN stays NaN, so one unmasked divide does both
+    divisions bit for bit. A divide masked by the sign of y runs its inner
+    loop once per run of equal signs: on random signs, about 30 times
+    slower than the unmasked divide."""
     nonneg = np.greater_equal(y, 0.0, out=ws("tmp", y.shape, bool))
-    return np.divide(1.0, den, out=out, where=nonneg)
+    out = np.maximum(e, nonneg, out=ws(name + ".sigmoid", y.shape))
+    return np.divide(out, np.add(e, 1.0, out=ws("tmp", y.shape)), out=out)
 
 
 def softplus(y):
@@ -137,8 +150,11 @@ def sigmoid(y):
 def _sum_last(a, out):
     """a.sum(axis=-1) as adds of its trailing planes, in np.sum's order:
     far cheaper than a reduction over a short trailing axis."""
-    np.copyto(out, a[..., 0])
-    for plane in range(1, a.shape[-1]):
+    if a.shape[-1] == 1:
+        np.copyto(out, a[..., 0])
+    else:
+        np.add(a[..., 0], a[..., 1], out=out)
+    for plane in range(2, a.shape[-1]):
         out += a[..., plane]
     return out
 

@@ -56,7 +56,12 @@ class ParamGradient:
 
 def _backward(fw, params, ws):
     """Add the hidden gates and dF/dy (B, F, L), the derivative of F at
-    the subspace projections, to a forward pass, in workspace `ws`."""
+    the subspace projections, to a forward pass, in workspace `ws`.
+
+    No masked ufunc runs on the common path: the gates are
+    `energy._sigmoid`'s branch-free ones, and the guard of zero subspaces
+    (s <= 0 divides by 1 and contributes 0) runs only when one `.any()` on
+    its mask finds one; otherwise dy divides by s itself."""
     B, F, L = fw.Y.shape
     fw.sig_p = energy._sigmoid(ws, "p", fw.phi, fw.e_p)
     fw.sig_m = energy._sigmoid(ws, "m", fw.m, fw.e_m)
@@ -65,9 +70,8 @@ def _backward(fw, params, ws):
     # d s_f / d y_fl = (|y|/s)^(alpha-1) * sign(y); zero subspaces contribute 0
     zero = ws("s<=0", (B, F), bool)     # NaN included
     np.logical_not(np.greater(fw.s, 0.0, out=zero), out=zero)
-    safe_s = ws("tmp", (B, F))
-    np.copyto(safe_s, fw.s)
-    np.copyto(safe_s, 1.0, where=zero)
+    has_zero = zero.any()
+    safe_s = np.where(zero, 1.0, fw.s) if has_zero else fw.s
     if params.alpha == 2.0:     # y / s is sign(y) * |y| / s, but for the sign of a zero
         dy = energy._per_plane(np.divide, fw.Y, safe_s, ws("dy", (B, F, L)))
     else:
@@ -76,7 +80,7 @@ def _backward(fw, params, ws):
         dy **= params.alpha - 1.0
         dy *= np.sign(fw.Y, out=ws("tmp", (B, F, L)))
     fw.dy = dy
-    if zero.any():
+    if has_zero:
         np.copyto(dy, 0.0, where=zero[..., None])
     energy._per_plane(np.multiply, dy, g_s, dy)
     if fw.with_phase:
@@ -122,7 +126,8 @@ def grad_free_energy_v(v, params, with_phase=True, workspace=None):
     g_v = np.subtract(g_u, np.multiply(U, g_u_u[:, None], out=ws("tmp", (B, D))))
     below = ws("tmp", (B, 1), bool)     # NaN included
     np.logical_not(np.greater_equal(fw.norm, EPS_NORM, out=below), out=below)
-    np.copyto(g_v, g_u, where=below)
+    if below.any():
+        np.copyto(g_v, g_u, where=below)
     g_v /= fw.nu
     visible = np.subtract(fw.V, params.b_v, out=ws("tmp", (B, D)))
     visible -= np.matmul(fw.sig_m, params.W.T, out=ws("tmp2", (B, D)))

@@ -237,6 +237,10 @@ def gaussian_moment_probe(n_chains=500, burn=400, keep=100, seed=0, dim=10,
     spread of per-chain estimates (batch means); successive states within
     a chain may be strongly autocorrelated on this target and iid formulas
     would understate the error.
+
+    Each kept state is one `hmc_chain` call that continues the `Chain` the
+    last one returned, so the probe runs 1 + burn + keep float64 forwards
+    with F: one per simulation and one at the start.
     """
     from .params import ModelParams
 
@@ -247,17 +251,17 @@ def gaussian_moment_probe(n_chains=500, burn=400, keep=100, seed=0, dim=10,
     )
     config = config or HmcConfig(seed=seed)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n_chains, dim))
+    chain = Chain.at(rng.standard_normal((n_chains, dim)), params)
 
-    v, stats = hmc_chain(v, params, config, burn, rng=rng)
+    chain, stats = hmc_chain(chain, params, config, burn, rng=rng)
     step = stats.current_step_size
 
     states = np.empty((keep, n_chains, dim))
     rejections = []
     for k in range(keep):
-        v, stats = hmc_chain(v, params, config, 1, rng=rng, step_size=step)
+        chain, stats = hmc_chain(chain, params, config, 1, rng=rng, step_size=step)
         step = stats.current_step_size
-        states[k] = v
+        states[k] = chain.rows
         rejections.append(stats.rejection_rate)
 
     chain_mean = states.mean(axis=0)                     # (n_chains, dim)

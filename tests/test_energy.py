@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpkrbm import energy
 from mpkrbm.energy import (
     EPS_R,
+    Workspace,
     free_energy,
     hidden_conditionals,
     phase_coupling_matrix,
@@ -323,6 +325,30 @@ def test_sigmoid_extremes():
     assert sigmoid(1000.0) == 1.0
     assert sigmoid(-1000.0) == 0.0
     assert sigmoid(0.0) == 0.5
+
+
+def masked_sigmoid(y, e):
+    """The reference for `energy._sigmoid`: 1/(1+e) where y >= 0 and
+    e/(1+e) elsewhere, as a divide masked by the sign of y."""
+    den = np.add(e, 1.0)
+    return np.divide(1.0, den, out=np.divide(e, den), where=y >= 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_the_masked_formula_bit_for_bit(dtype):
+    rng = np.random.default_rng(31)
+    random_signs = rng.standard_normal((64, 96)) * rng.choice([0.1, 3.0, 40.0], (64, 96))
+    edges = [0.0, np.inf, np.nan, 1e-30, 1.0, 87.0, 88.0, 88.7, 89.0, 103.0, 104.0,
+             700.0, 708.0, 709.0, 744.0, 745.0, 745.2, 746.0, 1e30]
+    edges = np.array(edges + [-x for x in edges])
+    for y in (random_signs.astype(dtype), edges.astype(dtype)):
+        ws = Workspace(dtype)
+        e = energy._exp_neg_abs(ws, "y", y)
+        got = energy._sigmoid(ws, "y", y, e)
+        assert got.dtype == dtype
+        assert got.tobytes() == masked_sigmoid(y, e).tobytes()
+    # the edge cases reach a subnormal and a zero e in each dtype
+    assert np.any((e > 0) & (e < np.finfo(dtype).tiny)) and np.any(e == 0)
 
 
 def test_conditionals_bias_cases():

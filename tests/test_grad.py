@@ -4,9 +4,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from mpkrbm import blas
-
-from mpkrbm.energy import Workspace, free_energy
+from mpkrbm import blas, energy
+from mpkrbm.energy import Workspace, free_energy, hidden_conditionals
 from mpkrbm.errors import DataError, NumericError, ParameterError
 from mpkrbm.grad import (
     TINY_SHAPE,
@@ -282,3 +281,43 @@ def test_float32_grad_v_is_close_to_float64(seed, alpha, with_phase):
     assert g32.dtype == np.float32
     rel = np.linalg.norm(g32 - g64, axis=1) / np.linalg.norm(g64, axis=1)
     assert rel.max() < 1e-4
+
+
+# The model of the pins above with b_c and b_k moved by each unit's median
+# drive on the rows, so that half of the pooling and of the phase drives
+# are negative, as on a trained model (at init they are all >= 0 there);
+# the mean drive is mixed already (26% >= 0). Recorded before the sigmoid
+# gates went branch-free: the digest of the bytes of the float32 dF/dv, the
+# nine float64 gradients in LEARNABLE_TENSORS order, f_rows and the three
+# hidden conditionals; then, as exact floats, the sums of |float32 dF/dv|,
+# of f_rows, of the nine |gradients| and of the conditionals. Same platform
+# and thread counts as FLOAT64_REFERENCE.
+MIXED_SIGN_REFERENCE = ("018b30d31b37a922", "0x1.111d4cba64c70p+20", "-0x1.3414970b5c863p+18",
+                        "0x1.60974fc8222f8p+19", "0x1.1f5a87a597a6dp+15")
+
+
+def test_mixed_sign_gates_keep_their_bits():
+    params = init_params(PAPER_SHAPE, 3)
+    v = np.random.default_rng(4).standard_normal((128, 200))
+    fw = energy._forward(v, params)
+    params.b_c = params.b_c - np.median(fw.phi, axis=0)
+    params.b_k = params.b_k - np.median(fw.psi, axis=0)
+    fw = energy._forward(v, params)
+    for drive in (fw.phi, fw.m, fw.psi):
+        assert 0.2 < np.mean(drive >= 0) < 0.8
+
+    g32 = grad_free_energy_v(v, params.astype(np.float32))
+    g = grad_free_energy_params(v, params)
+    grads = [getattr(g, name) for name in LEARNABLE_TENSORS]
+    h = hidden_conditionals(v, params)
+    gates = [h.p_hp, h.p_hm, h.p_hk]
+    digest, g32_sum, f_sum, abs_sum, gate_sum = MIXED_SIGN_REFERENCE
+    if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
+        data = b"".join(a.tobytes() for a in [g32] + grads + [g.f_rows] + gates)
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+    # elsewhere other kernels round differently, float32 ones the most
+    assert np.abs(g32).sum(dtype=np.float64) == pytest.approx(float.fromhex(g32_sum), rel=1e-5)
+    assert g.f_rows.sum() == pytest.approx(float.fromhex(f_sum), rel=1e-9)
+    assert sum(np.abs(a).sum() for a in grads) == pytest.approx(float.fromhex(abs_sum),
+                                                                rel=1e-9)
+    assert sum(a.sum() for a in gates) == pytest.approx(float.fromhex(gate_sum), rel=1e-9)

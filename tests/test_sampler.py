@@ -179,6 +179,42 @@ def test_gaussian_target_moments():
     assert np.all(probe["var_abs_err"] <= probe["var_4se"])
 
 
+def test_probe_runs_one_float64_forward_per_simulation(count_calls):
+    # each kept state continues the Chain the last simulation returned, so
+    # only the first start point needs a forward of its own
+    forwards = count_calls(energy, "_forward")
+    burn, keep, k = 30, 10, 3
+    gaussian_moment_probe(n_chains=20, burn=burn, keep=keep, seed=3,
+                          config=HmcConfig(n_leapfrog=k, seed=3))
+    assert forwards_by_dtype(forwards) == {"float64": 1 + burn + keep,
+                                           "float32": 1 + burn * k + keep * (k + 1)}
+
+
+# gaussian_moment_probe(n_chains=20, burn=30, keep=10, seed=3) at the default
+# config and at one that rejects some proposals, recorded before the probe
+# carried its Chain from one kept state to the next: the first 16 hex digits
+# of the SHA-256 of the bytes of its values in key order, the rejection rate
+# and the final step as an exact float. The digest holds on the platform of
+# CHAIN_REFERENCE, at one and at two BLAS threads.
+PROBE_REFERENCE = {
+    "default": ("1692fc33f8106799", 0.0, "0x1.69c3e55bd67d3p-6"),
+    "rejecting": ("f85c239780f7a3d0", 0.1, "0x1.19517b6ddfed7p+0"),
+}
+
+
+@pytest.mark.parametrize("case", PROBE_REFERENCE)
+def test_probe_keeps_its_bits(case):
+    config = HmcConfig(n_leapfrog=3, step_size=1.2, seed=3) if case == "rejecting" else None
+    probe = gaussian_moment_probe(n_chains=20, burn=30, keep=10, seed=3, config=config)
+    digest, rejection_rate, step = PROBE_REFERENCE[case]
+    if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
+        data = b"".join(np.asarray(probe[key]).tobytes() for key in sorted(probe))
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+    assert probe["n_samples"] == 200
+    assert probe["rejection_rate"] == pytest.approx(rejection_rate, abs=1e-12)
+    assert probe["step_size"] == pytest.approx(float.fromhex(step), rel=1e-9)
+
+
 def test_adaptation_settles_near_target_rejection():
     probe = gaussian_moment_probe(n_chains=200, burn=400, keep=80, seed=5)
     assert abs(probe["rejection_rate"] - 0.10) <= 0.05
