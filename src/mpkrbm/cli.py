@@ -88,6 +88,7 @@ def _existing(path, what):
 
 def cmd_preprocess(args):
     config = _load_config(args)
+    config.data.validate()
     data_dir = Path(config.paths.data_dir)
     images = sorted(p for p in data_dir.glob("*") if p.suffix.lower() in (".ppm", ".pgm"))
     if not images:
@@ -126,9 +127,9 @@ def cmd_train(args):
     config = _load_config(args)
     patches_path = _existing(config.paths.run_file("patches"), "patch file")
     tensors = container.read_container(patches_path)
-    if "patches" not in tensors:
-        raise DataError(f"{patches_path}: patch file holds no 'patches' tensor")
-    patches = tensors["patches"]
+    patches = tensors.get("patches")
+    if patches is None or patches.ndim != 2:
+        raise DataError(f"{patches_path}: patch file holds no 2-D 'patches' tensor")
     whitening_path = config.paths.run_file("whitening")
     if Path(whitening_path).exists():     # present but not a regular file: MissingFileError
         whitening = WhiteningTransform.load(_existing(whitening_path, "whitening file"))
@@ -249,6 +250,7 @@ def cmd_sample(args):
 
 def cmd_synth(args):
     config = _load_config(args)
+    config.synth.validate()
     out_path = _out_dir(args, config) / "synthetic.mpk"
     synth.write_coupled_dataset(
         out_path,

@@ -8,7 +8,7 @@ effective configuration.
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .params import ModelShape
 from .sampler import HmcConfig
 from .synth import VonMisesPair
@@ -36,6 +36,9 @@ class DataConfig:
     n_patches: int = 100000
     variance_fraction: float = 0.99
     seed: int = 0
+
+    def validate(self):
+        _require_positive("data", self, "patch_size", "n_patches")
 
 
 @dataclass
@@ -71,18 +74,29 @@ class SynthConfig:
     coupled_pairs: str = "1:2:3.0:0.0,4:7:3.0:1.5707963267948966"
     seed: int = 0
 
+    def validate(self):
+        _require_positive("synth", self, "patch_size", "n_subspaces", "n_patches")
+
     def parse_pairs(self):
         pairs = []
         text = self.coupled_pairs.strip()
         if not text:
             return pairs
         for chunk in text.split(","):
-            parts = chunk.strip().split(":")
-            if len(parts) != 4:
-                raise ConfigError(f"coupled_pairs entry {chunk!r} is not i:j:kappa:mu")
-            i, j = int(parts[0]), int(parts[1])
-            pairs.append((i, j, VonMisesPair(kappa=float(parts[2]), mu=float(parts[3]))))
+            try:    # a wrong number of fields is a ValueError too
+                i, j, kappa, mu = chunk.strip().split(":")
+                i, j, kappa, mu = int(i), int(j), float(kappa), float(mu)
+            except ValueError:
+                raise ConfigError(f"coupled_pairs entry {chunk!r} is not i:j:kappa:mu") from None
+            pairs.append((i, j, VonMisesPair(kappa=kappa, mu=mu)))
         return pairs
+
+
+def _require_positive(section, config, *names):
+    """A ParameterError for the first of `names`, sizes or counts, below 1."""
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ParameterError(f"[{section}] {name} must be >= 1, got {getattr(config, name)}")
 
 
 @dataclass

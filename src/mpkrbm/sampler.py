@@ -22,15 +22,17 @@ model: a float32 F is off by up to about 1e-3 nats at the paper shape,
 where |F| is in the hundreds, and that error would enter every delta H.
 Samples, like the params, are float64.
 
-One simulation is `hmc_step`, which carries the state of the chains from
-one simulation to the next: a `Chain`, the float64 forward with F at the
-rows, and dF/dv there. It runs K float32 gradient-only forwards and one
-float64 forward with F, at the end point. `hmc_chain` loops over it, and
-adds one float32 forward at the start for dF/dv, and one float64 forward
-there if it was given rows, not a Chain. CD-1 (`trainer.cd1_step`) gives
-it the data's Chain and runs its parameter gradients from the data's
-forward and the returned model rows' forward, so an iteration at the
-default K = 20 runs 23 forwards: 21 float32 and 2 float64.
+One simulation is `hmc_step`, which carries the whole state of the
+chains from one simulation to the next, a `Chain`: the float64 forward with
+F at the rows, and dF/dv there. It runs K float32 gradient-only forwards
+and one float64 forward with F, at the end point. `hmc_chain` loops over
+it. It adds one float32 forward at the start for dF/dv only when its chain
+has none (rows, or a Chain from `Chain.at`), and one float64 forward there
+if it was given rows, so n simulations on a Chain it returned run n*K
+float32 forwards. CD-1 (`trainer.cd1_step`) gives it the data's Chain and
+runs its parameter gradients from the data's forward and the returned
+model rows' forward, so an iteration at the default K = 20 runs 23
+forwards: 21 float32 and 2 float64.
 """
 
 from dataclasses import dataclass, field
@@ -58,8 +60,10 @@ class HmcConfig:
             raise ParameterError("n_leapfrog must be >= 1")
         if not 0.0 < self.target_rejection < 1.0:
             raise ParameterError("target_rejection must be in (0, 1)")
-        if self.step_size <= 0:
-            raise ParameterError("step_size must be > 0")
+        if not 0.0 < self.step_size < np.inf:
+            raise ParameterError("step_size must be finite and > 0")
+        if not 0.0 <= self.adapt_rate < 1.0:
+            raise ParameterError("adapt_rate must be in [0, 1)")
 
 
 @dataclass
@@ -106,10 +110,13 @@ def leapfrog(v, p, grad, grad_fn, step_size, n_steps):
 @dataclass
 class Chain:
     """The state of a batch of chains, one per row: the float64 forward
-    (`energy._forward`) at the rows, with F. Made by `Chain.at`; `hmc_chain`
-    returns one when it is given one."""
+    (`energy._forward`) at the rows, with F, which records `with_phase`,
+    and `grad`, dF/dv at the rows from the float32 params of `hmc_chain`,
+    or None until `hmc_chain` takes it. Both belong to one set of params.
+    Made by `Chain.at`; `hmc_chain` returns one when it is given one."""
 
     forward: SimpleNamespace
+    grad: np.ndarray = None
 
     @classmethod
     def at(cls, rows, params, with_phase=True):
@@ -122,65 +129,61 @@ class Chain:
     def rows(self):
         return self.forward.V
 
-    @property
-    def f(self):
-        return self.forward.f
 
-
-def hmc_step(chain, grad, params, gradient, n_leapfrog, step_size, rng, with_phase, workspace):
-    """One HMC simulation of every row of `chain`, whose dF/dv is `grad`:
-    a fresh momentum, `n_leapfrog` leapfrog steps driven by `gradient`
-    (dF/dv at given rows, float64), the float64 forward with F of the end
-    point in `workspace`, and the Metropolis test on H. Returns the next
-    chain, its dF/dv, the accept mask and delta H (B,); a non-finite
-    delta H is rejected.
+def hmc_step(chain, params, gradient, n_leapfrog, step_size, rng, workspace):
+    """One HMC simulation of every row of `chain`, which must carry its
+    dF/dv: a fresh momentum, `n_leapfrog` leapfrog steps driven by
+    `gradient` (dF/dv at given rows, float64), the float64 forward with F
+    of the end point in `workspace`, with the chain's `with_phase`, and the
+    Metropolis test on H. Returns the next chain, the accept mask and
+    delta H (B,); a non-finite delta H is rejected.
 
     The next chain is the end point's, with every rejected row of every
-    array of its forward, and of dF/dv, overwritten by the one of `chain`,
-    so that its forward equals, bit for bit, one run afresh on the rows it
-    holds. It lives in `workspace`, which therefore must not hold
+    array of its forward, and of its dF/dv, overwritten by the one of
+    `chain`, so that its forward equals, bit for bit, one run afresh on the
+    rows it holds. It lives in `workspace`, which therefore must not hold
     `chain.forward`. One step runs `n_leapfrog` gradients and one float64
     forward.
     """
-    B, D = chain.rows.shape
-    p0 = rng.standard_normal((B, D))
-    v1, p1, g1 = leapfrog(chain.rows, p0, grad, gradient, step_size, n_leapfrog)
-    proposal = _forward(v1, params, with_phase, workspace=workspace)
+    p0 = rng.standard_normal(chain.rows.shape)
+    v1, p1, g1 = leapfrog(chain.rows, p0, chain.grad, gradient, step_size, n_leapfrog)
+    proposal = _forward(v1, params, chain.forward.with_phase, workspace=workspace)
     f1 = _free_energy(proposal, params)
-    h0 = chain.f + 0.5 * np.sum(p0 * p0, axis=1)
+    h0 = chain.forward.f + 0.5 * np.sum(p0 * p0, axis=1)
     h1 = f1 + 0.5 * np.sum(p1 * p1, axis=1)
     delta_h = h1 - h0
-    accept = np.isfinite(delta_h) & (np.log(rng.uniform(size=B)) < -delta_h)
+    accept = np.isfinite(delta_h) & (np.log(rng.uniform(size=len(p0))) < -delta_h)
 
     rejected = np.flatnonzero(~accept)
     for name, new in vars(proposal).items():     # proposal.V is v1
         if isinstance(new, np.ndarray):
             new[rejected] = getattr(chain.forward, name)[rejected]
-    g1[rejected] = grad[rejected]
-    return Chain(proposal), g1, accept, delta_h
+    g1[rejected] = chain.grad[rejected]
+    return Chain(proposal, g1), accept, delta_h
 
 
 def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
               step_size=None):
     """Run `n_simulations` HMC simulations (`hmc_step`) on every row of
-    v0, rows or a `Chain`; rows start from `Chain.at` them.
+    v0, rows or a `Chain`; rows start from `Chain.at` them, with
+    `with_phase`, and a Chain runs with its own.
 
     Returns what it was given, rows at the final positions or the final
-    Chain, and an HmcStats whose current_step_size carries the adapted
-    value (pass it back via `step_size` to continue a chain across calls).
-    A caller-supplied `rng` preserves its stream, so repeated 1-simulation
-    calls match one n-simulation call exactly.
+    Chain, with its dF/dv, and an HmcStats whose current_step_size carries
+    the adapted value (pass it back via `step_size` to continue a chain
+    across calls). A caller-supplied `rng` preserves its stream, so
+    repeated 1-simulation calls, on rows or on the Chain the last one
+    returned, match one n-simulation call exactly.
 
     The float32 gradients of the trajectory keep their own workspace; the
     simulations keep their float64 forwards in two workspaces they take
-    turns with, neither the one of v0's forward, which stays intact.
-    dF/dv at the start is taken before the first simulation. So n
-    simulations of K leapfrog steps run n*K + 1 float32 gradient-only
-    forwards and n float64 forwards with F, one more given rows.
+    turns with, neither the one of v0's forward, which stays intact. So n
+    simulations of K leapfrog steps run n*K float32 gradient-only forwards
+    and n float64 forwards with F, plus one float32 forward for a chain
+    without dF/dv and one float64 forward given rows.
     """
     config.validate()
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed) if rng is None else rng
     eps = config.step_size if step_size is None else step_size
     stats = HmcStats()
 
@@ -195,14 +198,14 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
     # non-finite values are kept: the Metropolis step counts them as divergences
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if isinstance(v0, Chain):
-            chain = v0
+            chain, with_phase = v0, v0.forward.with_phase
         else:
             chain = Chain.at(np.array(v0, dtype=np.float64, ndmin=2), params, with_phase)
-        grad = gradient(chain.rows)
+        if chain.grad is None:
+            chain = Chain(chain.forward, gradient(chain.rows))
         for i in range(n_simulations):
-            chain, grad, accept, delta_h = hmc_step(chain, grad, params, gradient,
-                                                    config.n_leapfrog, eps, rng, with_phase,
-                                                    workspaces[i % 2])
+            chain, accept, delta_h = hmc_step(chain, params, gradient, config.n_leapfrog,
+                                              eps, rng, workspaces[i % 2])
             finite = np.isfinite(delta_h)
             n_acc = int(accept.sum())
             n_div = int(accept.size - finite.sum())
@@ -239,8 +242,9 @@ def gaussian_moment_probe(n_chains=500, burn=400, keep=100, seed=0, dim=10,
     would understate the error.
 
     Each kept state is one `hmc_chain` call that continues the `Chain` the
-    last one returned, so the probe runs 1 + burn + keep float64 forwards
-    with F: one per simulation and one at the start.
+    last one returned, dF/dv included, so the probe runs 1 + burn + keep
+    float64 forwards with F and 1 + (burn + keep)*K float32 ones: one per
+    simulation, or per leapfrog step, and one at the start.
     """
     from .params import ModelParams
 

@@ -41,10 +41,11 @@ class TrainerConfig:
 
     def validate(self):
         for name in LEARNABLE_TENSORS:
-            if self.lr_for(name) < 0:
-                raise ParameterError(f"negative learning rate for {name}")
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
+            if not 0.0 <= self.lr_for(name) < np.inf:
+                raise ParameterError(f"learning rate for {name} must be finite and >= 0")
+        for name in ("batch_size", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -110,11 +111,6 @@ class StepMetrics:
         return ",".join(fields)
 
 
-def _hmc_negative_sampler(data, params, hmc_config, step_size, rng, with_phase):
-    return hmc_chain(data, params, hmc_config, 1, rng=rng,
-                     with_phase=with_phase, step_size=step_size)
-
-
 def cd1_step(batch, params, config, hmc_config, step_size, rng,
              trainable=ALL_TENSORS, with_phase=True, negative_sampler=None,
              iteration=0, stage=0):
@@ -127,22 +123,22 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     what a forward of the model rows would compute, bit for bit. Both
     parameter gradients run their backward passes from these two forwards
     (`grad.grad_params_from_forward`) in one shared workspace, and f_data
-    and f_model are the means of their F. An iteration of K leapfrog steps
-    runs K + 1 float32 forwards and 2 float64 ones, 23 at the default
-    K = 20.
+    and f_model are the means of their F. The data's Chain carries no
+    dF/dv, so an iteration of K leapfrog steps runs K + 1 float32 forwards
+    and 2 float64 ones, 23 at the default K = 20.
 
     A NaN anywhere in the proposed update aborts the step with the
     original params intact. `negative_sampler` is an injection point for
-    tests: it takes the data's Chain where `sampler.hmc_chain` does and
-    returns the model's Chain (defaults to one HMC simulation started at
-    the data).
+    tests, called as `sampler.hmc_chain` is (the default, looked up at each
+    call): for one simulation from the data's Chain, returning the model's
+    Chain and its HmcStats.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
         raise DataError("empty batch")
-    sampler_fn = negative_sampler or _hmc_negative_sampler
     data = Chain.at(batch, params, with_phase)
-    model, stats = sampler_fn(data, params, hmc_config, step_size, rng, with_phase)
+    model, stats = (negative_sampler or hmc_chain)(data, params, hmc_config, 1, rng=rng,
+                                                   with_phase=with_phase, step_size=step_size)
 
     workspace = Workspace()     # the backward buffers of both passes
     g_data = grad_params_from_forward(data.forward, params, workspace)
@@ -162,16 +158,10 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
 
     new_params = project_constraints(replace(params, **updates))
     metrics = StepMetrics(
-        iteration=iteration,
-        stage=stage,
-        f_data=float(np.mean(g_data.f_rows)),
-        f_model=float(np.mean(g_model.f_rows)),
-        rejection_rate=stats.rejection_rate,
-        step_size=stats.current_step_size,
-        divergences=stats.divergences,
-        mean_delta_h=stats.mean_delta_h,
-        grad_norms=norms,
-    )
+        iteration=iteration, stage=stage,
+        f_data=float(np.mean(g_data.f_rows)), f_model=float(np.mean(g_model.f_rows)),
+        rejection_rate=stats.rejection_rate, step_size=stats.current_step_size,
+        divergences=stats.divergences, mean_delta_h=stats.mean_delta_h, grad_norms=norms)
     return new_params, stats.current_step_size, metrics
 
 

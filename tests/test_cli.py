@@ -148,6 +148,33 @@ def test_preprocess_deterministic_checksums(tmp_path):
     assert checksum(tmp_path / "out" / "patches.mpk") != first
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("preprocess", "data", "patch_size", 0),
+    ("preprocess", "data", "patch_size", -1),
+    ("preprocess", "data", "n_patches", -5),
+    ("synth", "synth", "n_patches", -1),
+])
+def test_non_positive_size_or_count_exit_3_and_write_nothing(tmp_path, capsys, command,
+                                                               section, key, value):
+    cfg_path, config = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    setattr(getattr(config, section), key, value)
+    save_run_config(config, cfg_path)
+    assert main([command, "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"error: [{section}] {key} must be >= 1, got {value}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_unparseable_pair_exit_2(tmp_path, capsys):
+    cfg_path, config = base_config(tmp_path)
+    config.synth.coupled_pairs = "a:2:1:0"
+    save_run_config(config, cfg_path)
+    assert main(["synth", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'a:2:1:0' is not i:j:kappa:mu" in err[0], err
+
+
 def test_synth_writes_dataset_and_is_deterministic(tmp_path):
     path, _ = base_config(tmp_path)
     assert main(["synth", "--config", str(path)]) == 0
@@ -261,6 +288,19 @@ def test_train_on_a_container_without_its_tensor_exit_2(tmp_path, capsys, entry,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("patches", [np.float64(1.0), np.zeros(6)])
+def test_train_on_patches_that_are_not_a_matrix_exit_2(tmp_path, capsys, patches):
+    from mpkrbm.container import write_container
+
+    cfg_path, config = base_config(tmp_path)
+    config.paths.patches = str(tmp_path / "flat.mpk")
+    save_run_config(config, cfg_path)
+    write_container(config.paths.patches, {"patches": patches})
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "flat.mpk" in err[0] and "2-D 'patches'" in err[0], err
+
+
 def test_export_with_a_whitening_file_without_its_tensors_exit_2(tmp_path, capsys):
     cfg_path, config = base_config(tmp_path)
     ck = save_tiny_checkpoint(tmp_path / "ck.mpk")
@@ -276,6 +316,10 @@ def test_export_with_a_whitening_file_without_its_tensors_exit_2(tmp_path, capsy
     ("hmc", "n_leapfrog", 0),
     ("trainer", "batch_size", 0),
     ("trainer", "stage_iterations", (3, 3, 3, 3)),
+    ("trainer", "checkpoint_every", 0),
+    ("hmc", "step_size", float("nan")),
+    ("hmc", "adapt_rate", 1.0),
+    ("trainer", "lr_C", float("nan")),
 ])
 def test_train_bad_config_value_exit_3(tmp_path, capsys, section, key, value):
     cfg_path, config = base_config(tmp_path)

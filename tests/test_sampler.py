@@ -8,6 +8,7 @@ from scipy import stats as scipy_stats
 
 from mpkrbm import blas, energy, grad
 from mpkrbm.energy import free_energy
+from mpkrbm.errors import ParameterError
 from mpkrbm.grad import grad_free_energy_v, random_tiny_params
 from mpkrbm.params import LEARNABLE_TENSORS, ModelParams, ModelShape, init_params
 from mpkrbm.sampler import Chain, HmcConfig, gaussian_moment_probe, hmc_chain, leapfrog
@@ -86,6 +87,29 @@ def test_simulations_carry_the_gradient_at_the_current_state(count_calls):
             v, one = hmc_chain(v, params, config, 1, rng=rng, step_size=step)
             step = one.current_step_size
         assert np.array_equal(whole, v) and step == stats.current_step_size
+
+
+def test_a_returned_chain_carries_its_gradient(count_calls):
+    # a Chain that hmc_chain returned carries dF/dv at its rows, so calls
+    # that continue it run no forward at their start points, and end where
+    # one n-simulation call ends, bit for bit
+    params = random_tiny_params(2)
+    v0 = np.random.default_rng(3).standard_normal((5, 4))
+    forwards = count_calls(energy, "_forward")
+    for k, n in ((1, 2), (3, 4), (20, 10)):
+        config = HmcConfig(n_leapfrog=k, seed=4, step_size=0.5)
+        whole, stats = hmc_chain(Chain.at(v0, params), params, config, n)
+        rng = np.random.default_rng(4)
+        chain, one = hmc_chain(Chain.at(v0, params), params, config, 1, rng=rng)
+        forwards["args"].clear()
+        for _ in range(n - 1):
+            chain, one = hmc_chain(chain, params, config, 1, rng=rng,
+                                   step_size=one.current_step_size)
+        assert forwards_by_dtype(forwards) == {"float32": (n - 1) * k, "float64": n - 1}
+        assert np.array_equal(chain.rows, whole.rows)
+        assert np.array_equal(chain.forward.f, whole.forward.f)
+        assert np.array_equal(chain.grad, whole.grad)
+        assert one.current_step_size == stats.current_step_size
 
 
 def test_f_runs_only_for_the_hamiltonian(count_calls):
@@ -180,14 +204,14 @@ def test_gaussian_target_moments():
 
 
 def test_probe_runs_one_float64_forward_per_simulation(count_calls):
-    # each kept state continues the Chain the last simulation returned, so
-    # only the first start point needs a forward of its own
+    # each kept state continues the Chain the last simulation returned, with
+    # its dF/dv, so only the first start point needs forwards of its own
     forwards = count_calls(energy, "_forward")
     burn, keep, k = 30, 10, 3
     gaussian_moment_probe(n_chains=20, burn=burn, keep=keep, seed=3,
                           config=HmcConfig(n_leapfrog=k, seed=3))
     assert forwards_by_dtype(forwards) == {"float64": 1 + burn + keep,
-                                           "float32": 1 + burn * k + keep * (k + 1)}
+                                           "float32": 1 + burn * k + keep * k}
 
 
 # gaussian_moment_probe(n_chains=20, burn=30, keep=10, seed=3) at the default
@@ -312,6 +336,18 @@ def test_config_validation():
         HmcConfig(n_leapfrog=0).validate()
     with pytest.raises(ValueError):
         HmcConfig(target_rejection=1.5).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step_size", float("nan")), ("step_size", float("inf")), ("step_size", 0.0),
+    ("adapt_rate", 1.0), ("adapt_rate", -0.02), ("adapt_rate", float("nan")),
+])
+def test_config_rejects_a_step_that_cannot_move(field, value):
+    # a NaN step makes every proposal a divergence; at adapt_rate 1 the
+    # step falls to 0 after one rejecting simulation and the chains freeze
+    with pytest.raises(ParameterError, match=field):
+        HmcConfig(**{field: value}).validate()
+    HmcConfig(adapt_rate=0.0).validate()
 
 
 # Final positions and trace of hmc_chain, recorded before the leapfrog took

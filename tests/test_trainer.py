@@ -31,8 +31,11 @@ from mpkrbm.trainer import (
 )
 
 
-def identity_sampler(data, params, hmc_config, step_size, rng, with_phase):
-    """Test hook: the 'model' batch is exactly the data batch."""
+def identity_sampler(data, params, hmc_config, n_simulations, rng=None, with_phase=True,
+                     step_size=None):
+    """Test hook, called as `hmc_chain` is: the 'model' batch is exactly the
+    data batch."""
+    assert n_simulations == 1
     stats = HmcStats(accepted=data.rows.shape[0], proposed=data.rows.shape[0],
                      current_step_size=step_size or 0.01)
     stats.trace.append((stats.current_step_size, 0.0, 0.0))
@@ -40,7 +43,8 @@ def identity_sampler(data, params, hmc_config, step_size, rng, with_phase):
 
 
 def shift_sampler(offset):
-    def sampler(data, params, hmc_config, step_size, rng, with_phase):
+    def sampler(data, params, hmc_config, n_simulations, rng=None, with_phase=True,
+                step_size=None):
         stats = HmcStats(accepted=data.rows.shape[0], proposed=data.rows.shape[0],
                          current_step_size=step_size or 0.01)
         stats.trace.append((stats.current_step_size, 0.0, 0.0))
@@ -128,8 +132,8 @@ def test_metrics_are_the_free_energies_of_both_batches(with_phase):
 def test_metrics_rows_carry_the_sampler_health():
     params, batch = small_setup(13)
 
-    def unhealthy_sampler(data, params, hmc_config, step_size, rng, with_phase):
-        model, stats = identity_sampler(data, params, hmc_config, step_size, rng, with_phase)
+    def unhealthy_sampler(*args, **kwargs):
+        model, stats = identity_sampler(*args, **kwargs)
         stats.divergences, stats.mean_delta_h = 2, 0.25
         return model, stats
 
@@ -371,7 +375,8 @@ def test_training_reduces_data_free_energy():
 def test_nan_update_aborts_step():
     params, batch = small_setup(12)
 
-    def nan_sampler(data, params_, hmc_config, step_size, rng, with_phase):
+    def nan_sampler(data, params_, hmc_config, n_simulations, rng=None, with_phase=True,
+                    step_size=None):
         bad = data.rows.copy()
         bad[0, 0] = np.nan
         stats = HmcStats(accepted=0, proposed=bad.shape[0],
