@@ -35,7 +35,7 @@ from .preprocess import (
     fit_whitening,
     normalize_visible,
 )
-from .sampler import HmcConfig, HmcStats, hmc_chain, leapfrog
+from .sampler import Chain, HmcConfig, HmcStats, hmc_chain, leapfrog
 from .synth import (
     VonMisesPair,
     quadrature_gabor_basis,

@@ -15,7 +15,8 @@ A command writes to --out (default: [paths] out_dir) and reads [paths] or
 A resumed `train` matches an uninterrupted run bit for bit, metrics.csv too,
 when it runs with the same BLAS thread count: the checkpoint records the
 count (when numpy's BLAS is OpenBLAS) and `train --resume` warns when it
-differs.
+differs. Likewise `preprocess` writes whitening.mpk bit for bit again only
+at the same BLAS thread count (`preprocess.fit_whitening`).
 
 Exit codes: 0 ok, 1 check failure, 2 data error or bad command line, 3 shape
 or parameter error, 4 missing dependency file. MPK_THREADS caps only the
@@ -41,7 +42,7 @@ from .errors import DataError, MissingFileError, MpkError, ParameterError, Shape
 from .grad import check_gradients, random_tiny_params
 from .params import init_params, load_checkpoint
 from .preprocess import WhiteningTransform, extract_patches, fit_whitening
-from .sampler import HmcStats, gaussian_moment_probe, hmc_chain
+from .sampler import Chain, HmcStats, gaussian_moment_probe, hmc_chain
 from .trainer import default_stages, train
 
 
@@ -238,12 +239,13 @@ def cmd_sample(args):
     step = opt.get("step_size", config.hmc.step_size)
 
     print(HmcStats.csv_header())
-    v, stats = hmc_chain(v, params, config.hmc, args.iterations, rng=rng, step_size=step)
+    chain, stats = hmc_chain(Chain.at(v, params), params, config.hmc, args.iterations,
+                             rng=rng, step_size=step)
     for line in stats.csv_lines():
         print(line)
 
     out_path = _out_dir(args, config) / "samples.mpk"
-    container.write_container(out_path, {"samples": v})
+    container.write_container(out_path, {"samples": chain.rows})
     print(f"samples -> {out_path}")
     return 0
 

@@ -14,13 +14,13 @@ import numpy as np
 from .errors import DataError, FormatError
 
 
-def _read_token(fh):
-    """Next whitespace-delimited header token, skipping '#' comments."""
+def _read_token(fh, path):
+    """Next whitespace-delimited header token of `path`, skipping '#' comments."""
     token = b""
     while True:
         ch = fh.read(1)
         if not ch:
-            raise FormatError("truncated PNM header")
+            raise FormatError(f"{path}: truncated PNM header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = fh.read(1)
@@ -34,7 +34,7 @@ def _read_token(fh):
 
 def _read_count(fh, path, what):
     """Next header token as a non-negative decimal integer."""
-    token = _read_token(fh)
+    token = _read_token(fh, path)
     if not token.isdigit():
         raise FormatError(f"{path}: invalid {what} {token.decode('latin-1')!r} in PNM header")
     return int(token)

@@ -90,7 +90,13 @@ class WhiteningTransform:
 def fit_whitening(patches, variance_fraction, patch_size=0, channels=0):
     """Fit a PCA whitening transform retaining >= `variance_fraction` of the
     total patch variance (eigenvalues below the numerical floor are dropped
-    regardless of the requested fraction)."""
+    regardless of the requested fraction).
+
+    The covariance product and the eigendecomposition run in BLAS/LAPACK,
+    whose rounding follows the BLAS thread count: at the paper shape the
+    same patches keep the same components at 1 and at 2 threads, but the
+    transform's bits differ, so a fit is reproducible bit for bit only at
+    the same thread count."""
     X = np.asarray(patches, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError("whitening needs at least 2 patches")

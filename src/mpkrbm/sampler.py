@@ -24,15 +24,17 @@ Samples, like the params, are float64.
 
 One simulation is `hmc_step`, which carries the whole state of the
 chains from one simulation to the next, a `Chain`: the float64 forward with
-F at the rows, and dF/dv there. It runs K float32 gradient-only forwards
-and one float64 forward with F, at the end point. `hmc_chain` loops over
-it. It adds one float32 forward at the start for dF/dv only when its chain
-has none (rows, or a Chain from `Chain.at`), and one float64 forward there
-if it was given rows, so n simulations on a Chain it returned run n*K
-float32 forwards. CD-1 (`trainer.cd1_step`) gives it the data's Chain and
-runs its parameter gradients from the data's forward and the returned
-model rows' forward, so an iteration at the default K = 20 runs 23
-forwards: 21 float32 and 2 float64.
+F at the rows, which records `with_phase`, and dF/dv there. It runs K
+float32 gradient-only forwards and one float64 forward with F, at the end
+point. `hmc_chain` takes a Chain, loops `hmc_step` over it and returns the
+final Chain. It adds one float32 forward at the start for dF/dv only when
+its chain has none (one fresh from `Chain.at`), so n simulations on a Chain
+it returned run n*K float32 forwards. Callers that hold rows make their
+Chain with `Chain.at`, which runs the float64 forward there. CD-1
+(`trainer.cd1_step`) gives it the data's Chain and runs its parameter
+gradients from the data's forward and the returned model rows' forward, so
+an iteration at the default K = 20 runs 23 forwards: 21 float32 and 2
+float64.
 """
 
 from dataclasses import dataclass, field
@@ -113,7 +115,7 @@ class Chain:
     (`energy._forward`) at the rows, with F, which records `with_phase`,
     and `grad`, dF/dv at the rows from the float32 params of `hmc_chain`,
     or None until `hmc_chain` takes it. Both belong to one set of params.
-    Made by `Chain.at`; `hmc_chain` returns one when it is given one."""
+    Made by `Chain.at`; `hmc_chain` takes one and returns the next."""
 
     forward: SimpleNamespace
     grad: np.ndarray = None
@@ -162,25 +164,22 @@ def hmc_step(chain, params, gradient, n_leapfrog, step_size, rng, workspace):
     return Chain(proposal, g1), accept, delta_h
 
 
-def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
-              step_size=None):
+def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
     """Run `n_simulations` HMC simulations (`hmc_step`) on every row of
-    v0, rows or a `Chain`; rows start from `Chain.at` them, with
-    `with_phase`, and a Chain runs with its own.
+    `chain`, a `Chain`, with the `with_phase` its forward records.
 
-    Returns what it was given, rows at the final positions or the final
-    Chain, with its dF/dv, and an HmcStats whose current_step_size carries
-    the adapted value (pass it back via `step_size` to continue a chain
-    across calls). A caller-supplied `rng` preserves its stream, so
-    repeated 1-simulation calls, on rows or on the Chain the last one
-    returned, match one n-simulation call exactly.
+    Returns the final Chain, with its dF/dv, and an HmcStats whose
+    current_step_size carries the adapted value (pass it back via
+    `step_size` to continue a chain across calls). A caller-supplied `rng`
+    preserves its stream, so repeated 1-simulation calls, each on the Chain
+    the last one returned, match one n-simulation call exactly.
 
     The float32 gradients of the trajectory keep their own workspace; the
     simulations keep their float64 forwards in two workspaces they take
-    turns with, neither the one of v0's forward, which stays intact. So n
+    turns with, neither the one of `chain.forward`, which stays intact. So n
     simulations of K leapfrog steps run n*K float32 gradient-only forwards
     and n float64 forwards with F, plus one float32 forward for a chain
-    without dF/dv and one float64 forward given rows.
+    without dF/dv (one from `Chain.at`).
     """
     config.validate()
     rng = np.random.default_rng(config.seed) if rng is None else rng
@@ -190,6 +189,7 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
     workspace32 = Workspace(np.float32)
     workspaces = (Workspace(), Workspace())
     params32 = params.astype(np.float32)
+    with_phase = chain.forward.with_phase
 
     def gradient(x):
         g = grad_free_energy_v(x, params32, with_phase=with_phase, workspace=workspace32)
@@ -197,10 +197,6 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
 
     # non-finite values are kept: the Metropolis step counts them as divergences
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if isinstance(v0, Chain):
-            chain, with_phase = v0, v0.forward.with_phase
-        else:
-            chain = Chain.at(np.array(v0, dtype=np.float64, ndmin=2), params, with_phase)
         if chain.grad is None:
             chain = Chain(chain.forward, gradient(chain.rows))
         for i in range(n_simulations):
@@ -226,9 +222,7 @@ def hmc_chain(v0, params, config, n_simulations, rng=None, with_phase=True,
     stats.current_step_size = eps
     finite_dh = [dh for _, _, dh in stats.trace if np.isfinite(dh)]
     stats.mean_delta_h = float(np.mean(finite_dh)) if finite_dh else float("nan")
-    if isinstance(v0, Chain):
-        return chain, stats
-    return (chain.rows if np.ndim(v0) > 1 else chain.rows[0]), stats
+    return chain, stats
 
 
 def gaussian_moment_probe(n_chains=500, burn=400, keep=100, seed=0, dim=10,

@@ -41,26 +41,6 @@ def von_mises_pair_pdf(theta_i, theta_j, pair):
     return np.exp(pair.kappa * np.cos(diff)) / (TWO_PI * TWO_PI * np.i0(pair.kappa))
 
 
-def sample_von_mises(kappa, size, rng):
-    """Zero-mean von Mises draws by rejection from a uniform envelope
-    (acceptance rate I0(k)/e^k; fine for the desk-scale k used here)."""
-    if kappa < 0:
-        raise ParameterError(f"kappa must be >= 0, got {kappa}")
-    if kappa == 0:
-        return rng.uniform(-np.pi, np.pi, size=size)
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        n = max(size - filled, 1) * 4
-        theta = rng.uniform(-np.pi, np.pi, size=n)
-        u = rng.uniform(size=n)
-        kept = theta[np.log(u) < kappa * (np.cos(theta) - 1.0)]
-        take = min(kept.size, size - filled)
-        out[filled:filled + take] = kept[:take]
-        filled += take
-    return out
-
-
 def sample_coupled_phases(pairs, n_subspaces, count, seed):
     """Phase matrix (count, n_subspaces): uniform marginals everywhere,
     von Mises-coupled differences for each (i, j, VonMisesPair) entry.
@@ -78,7 +58,7 @@ def sample_coupled_phases(pairs, n_subspaces, count, seed):
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-np.pi, np.pi, size=(count, n_subspaces))
     for i, j, pair in pairs:
-        delta = sample_von_mises(pair.kappa, count, rng)
+        delta = rng.vonmises(0.0, pair.kappa, size=count)
         phases[:, j] = wrap_angle(phases[:, i] - pair.mu - delta)
     return phases
 

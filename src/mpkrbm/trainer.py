@@ -116,8 +116,9 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
              iteration=0, stage=0):
     """One CD-1 update. Returns (new params, new step size, metrics).
 
-    The data's float64 forward, with F, is run once (`sampler.Chain.at`)
-    and serves both HMC, whose simulation starts there, and the data's
+    The data's float64 forward, with F, is run once (`sampler.Chain.at`,
+    with `with_phase`) and serves both HMC, whose simulation starts there
+    and runs with the `with_phase` that forward records, and the data's
     parameter gradient. The simulation returns the model rows' forward:
     the proposal's, with each rejected row taken from the data's, which is
     what a forward of the model rows would compute, bit for bit. Both
@@ -131,14 +132,14 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     original params intact. `negative_sampler` is an injection point for
     tests, called as `sampler.hmc_chain` is (the default, looked up at each
     call): for one simulation from the data's Chain, returning the model's
-    Chain and its HmcStats.
+    Chain, with the data's `with_phase`, and its HmcStats.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
         raise DataError("empty batch")
     data = Chain.at(batch, params, with_phase)
     model, stats = (negative_sampler or hmc_chain)(data, params, hmc_config, 1, rng=rng,
-                                                   with_phase=with_phase, step_size=step_size)
+                                                   step_size=step_size)
 
     workspace = Workspace()     # the backward buffers of both passes
     g_data = grad_params_from_forward(data.forward, params, workspace)
@@ -212,6 +213,12 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
         raise DataError("train() needs initial params (use init_params)")
     config.validate()
     hmc_config.validate()
+    for stage in stages:
+        if stage.iterations < 0:
+            raise ParameterError(f"stage {stage.name} iterations must be >= 0, "
+                                 f"got {stage.iterations}")
+    if not initial_params.alpha > 0:
+        raise ParameterError(f"alpha must be > 0, got {initial_params.alpha}")
     L = initial_params.subspace_dim
     if L != 2 and any(stage.phase_enabled and stage.iterations > 0 for stage in stages):
         raise ParameterError(f"phase stages need subspace dimension L = 2, got L={L}")

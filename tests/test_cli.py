@@ -441,6 +441,10 @@ def test_sample_command(tmp_path, capsys):
 @pytest.mark.parametrize("section, key, value", [
     ("hmc", "n_leapfrog", 0),
     ("model", "subspace_dim", 1),
+    ("model", "alpha", -1.0),
+    ("model", "alpha", float("nan")),
+    ("trainer", "stage_iterations", (5, -3, 0, 0, 0)),
+    ("trainer", "stage_iterations", (-3, 0, 0, 0, 0)),
 ])
 def test_train_bad_config_touches_no_output(tmp_path, capsys, section, key, value):
     # the whole run is checked before metrics.csv is rewritten or any

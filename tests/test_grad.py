@@ -17,7 +17,7 @@ from mpkrbm.grad import (
     random_tiny_params,
 )
 from mpkrbm.params import LEARNABLE_TENSORS, ModelShape, init_params
-from mpkrbm.sampler import HmcConfig, hmc_chain
+from mpkrbm.sampler import Chain, HmcConfig, hmc_chain
 
 
 def rel_err(a, b):
@@ -178,7 +178,7 @@ def test_gradient_paths_reject_invalid_alpha(alpha):
     with pytest.raises(ParameterError):
         grad_free_energy_params(V, params)
     with pytest.raises(ParameterError):
-        hmc_chain(V, params, HmcConfig(seed=0), 1)
+        hmc_chain(Chain.at(V, params), params, HmcConfig(seed=0), 1)
 
 
 @pytest.mark.parametrize("with_phase", [True, False])

@@ -59,6 +59,7 @@ def test_write_clips_to_8_bit(tmp_path):
     (b"P5\n4 x4\n255\n", "invalid height"),
     (b"P5\n4 4\n2.5\n", "invalid maxval"),
     (b"P6\n100000000 100000000\n255\n", "truncated pixel data"),
+    (b"P6\n16", "truncated PNM header"),
 ])
 def test_bad_header_is_a_format_error_naming_the_file(tmp_path, header, message):
     path = tmp_path / "bad.ppm"

@@ -63,7 +63,7 @@ def test_one_simulation_runs_one_forward_per_gradient(count_calls):
     f_calls = count_calls(energy, "free_energy")
     for k in (1, 3, 20):
         forwards["args"].clear()
-        hmc_chain(v0, params, HmcConfig(n_leapfrog=k, seed=4), 1)
+        hmc_chain(Chain.at(v0, params), params, HmcConfig(n_leapfrog=k, seed=4), 1)
         assert forwards_by_dtype(forwards) == {"float32": k + 1, "float64": 2}
     assert f_calls["n"] == 0
 
@@ -78,15 +78,16 @@ def test_simulations_carry_the_gradient_at_the_current_state(count_calls):
     for k, n in ((1, 2), (3, 4), (20, 10)):
         config = HmcConfig(n_leapfrog=k, seed=4, step_size=0.5)
         forwards["args"].clear()
-        whole, stats = hmc_chain(v0, params, config, n)
+        whole, stats = hmc_chain(Chain.at(v0, params), params, config, n)
         assert forwards_by_dtype(forwards) == {"float32": n * k + 1, "float64": n + 1}
         assert 0 < stats.accepted < stats.proposed
 
         rng, v, step = np.random.default_rng(4), v0, None
         for _ in range(n):
-            v, one = hmc_chain(v, params, config, 1, rng=rng, step_size=step)
-            step = one.current_step_size
-        assert np.array_equal(whole, v) and step == stats.current_step_size
+            chain, one = hmc_chain(Chain.at(v, params), params, config, 1, rng=rng,
+                                   step_size=step)
+            v, step = chain.rows, one.current_step_size
+        assert np.array_equal(whole.rows, v) and step == stats.current_step_size
 
 
 def test_a_returned_chain_carries_its_gradient(count_calls):
@@ -123,7 +124,8 @@ def test_f_runs_only_for_the_hamiltonian(count_calls):
         for counter in (f_calls, gradients):
             counter["n"] = 0
             counter["args"].clear()
-        hmc_chain(v0, params, HmcConfig(n_leapfrog=k, seed=4, step_size=0.5), n)
+        config = HmcConfig(n_leapfrog=k, seed=4, step_size=0.5)
+        hmc_chain(Chain.at(v0, params), params, config, n)
         assert f_calls["n"] == n + 1
         assert {args[1].C.dtype.name for args in f_calls["args"]} == {"float64"}
         assert gradients["n"] == n * k + 1
@@ -146,8 +148,7 @@ def test_a_kept_forward_is_a_fresh_forward_of_its_rows(with_phase, step, n):
     data = Chain.at(v0, params, with_phase)
     before = {name: a.copy() for name, a in forward_arrays(data.forward).items()}
     config = HmcConfig(step_size=step, seed=5)
-    model, stats = hmc_chain(data, params, config, n, rng=np.random.default_rng(6),
-                             with_phase=with_phase)
+    model, stats = hmc_chain(data, params, config, n, rng=np.random.default_rng(6))
     assert 0 < stats.accepted < stats.proposed
 
     fresh = energy._forward(model.rows, params, with_phase)
@@ -161,13 +162,9 @@ def test_a_kept_forward_is_a_fresh_forward_of_its_rows(with_phase, step, n):
     for name in LEARNABLE_TENSORS + ("f_rows",):
         assert np.array_equal(getattr(from_kept, name), getattr(from_rows, name)), name
 
-    # the data's forward is left as it was, and rows given in place of the
-    # Chain reach the same rows and trace
+    # the data's forward is left as it was
     for name, a in forward_arrays(data.forward).items():
         assert np.array_equal(a, before[name]), name
-    rows, by_rows = hmc_chain(v0, params, config, n, rng=np.random.default_rng(6),
-                              with_phase=with_phase)
-    assert np.array_equal(rows, model.rows) and by_rows.trace == stats.trace
 
 
 def test_chain_returns_float64_and_leaves_its_params_alone():
@@ -176,9 +173,9 @@ def test_chain_returns_float64_and_leaves_its_params_alone():
     params = random_tiny_params(5)
     before = params.copy()
     rng = np.random.default_rng(6)
-    for v0 in (rng.standard_normal((6, 4)), rng.standard_normal(4).astype(np.float32)):
-        v1, _ = hmc_chain(v0, params, HmcConfig(seed=7), 3)
-        assert v1.dtype == np.float64 and v1.shape == v0.shape
+    for v0 in (rng.standard_normal((6, 4)), rng.standard_normal((1, 4)).astype(np.float32)):
+        chain, _ = hmc_chain(Chain.at(v0, params), params, HmcConfig(seed=7), 3)
+        assert chain.rows.dtype == np.float64 and chain.rows.shape == v0.shape
     for name in LEARNABLE_TENSORS:
         now, then = getattr(params, name), getattr(before, name)
         assert now.dtype == then.dtype == np.float64
@@ -191,10 +188,10 @@ def test_small_step_limit_accepts():
     rng = np.random.default_rng(2)
     v0 = rng.standard_normal((50, 4))
     config = HmcConfig(step_size=1e-6, adapt_rate=0.0, seed=3)
-    v1, stats = hmc_chain(v0, params, config, 1)
+    chain, stats = hmc_chain(Chain.at(v0, params), params, config, 1)
     assert stats.accepted == stats.proposed
     assert abs(stats.mean_delta_h) < 1e-8
-    assert np.max(np.abs(v1 - v0)) < 1e-3
+    assert np.max(np.abs(chain.rows - v0)) < 1e-3
 
 
 def test_gaussian_target_moments():
@@ -261,10 +258,10 @@ def test_chain_invariance_chi_square():
     rng = np.random.default_rng(17)
     v = 3.0 * rng.standard_normal((n_chains, 1))
     config = HmcConfig(n_leapfrog=20, step_size=0.5, adapt_rate=0.0, seed=17)
-    v, stats = hmc_chain(v, params, config, 250, rng=rng)
+    chain, stats = hmc_chain(Chain.at(v, params), params, config, 250, rng=rng)
     assert stats.divergences == 0
 
-    counts, _ = np.histogram(v[:, 0], bins=np.concatenate([[-np.inf], edges, [np.inf]]))
+    counts, _ = np.histogram(chain.rows[:, 0], bins=np.concatenate([[-np.inf], edges, [np.inf]]))
     expected = n_chains / n_bins
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     threshold = scipy_stats.chi2.ppf(0.99, df=n_bins - 1)
@@ -275,9 +272,9 @@ def test_deterministic_given_seed():
     params = random_tiny_params(3)
     v0 = np.random.default_rng(4).standard_normal((8, 4))
     config = HmcConfig(seed=99)
-    a, stats_a = hmc_chain(v0, params, config, 25)
-    b, stats_b = hmc_chain(v0, params, config, 25)
-    assert np.array_equal(a, b)
+    a, stats_a = hmc_chain(Chain.at(v0, params), params, config, 25)
+    b, stats_b = hmc_chain(Chain.at(v0, params), params, config, 25)
+    assert np.array_equal(a.rows, b.rows)
     assert stats_a.trace == stats_b.trace
 
 
@@ -286,14 +283,14 @@ def test_chunked_calls_match_single_call():
     v0 = np.random.default_rng(7).standard_normal((5, 4))
     config = HmcConfig(seed=42)
 
-    whole, stats = hmc_chain(v0, params, config, 10)
+    whole, stats = hmc_chain(Chain.at(v0, params), params, config, 10)
 
     rng = np.random.default_rng(42)
     v, step = v0, None
     for _ in range(10):
-        v, s = hmc_chain(v, params, config, 1, rng=rng, step_size=step)
-        step = s.current_step_size
-    assert np.array_equal(whole, v)
+        chain, s = hmc_chain(Chain.at(v, params), params, config, 1, rng=rng, step_size=step)
+        v, step = chain.rows, s.current_step_size
+    assert np.array_equal(whole.rows, v)
     assert step == stats.current_step_size
 
 
@@ -302,11 +299,11 @@ def test_adaptation_direction():
     v0 = np.random.default_rng(8).standard_normal((40, 4))
     # tiny step: everything accepted, rejection < target, step must grow
     config = HmcConfig(step_size=1e-4, seed=1)
-    _, stats = hmc_chain(v0, params, config, 1)
+    _, stats = hmc_chain(Chain.at(v0, params), params, config, 1)
     assert stats.current_step_size > 1e-4
     # huge step on a quadratic target: mass rejection, step must shrink
     config = HmcConfig(step_size=1.99, seed=1)
-    _, stats = hmc_chain(v0, params, config, 1)
+    _, stats = hmc_chain(Chain.at(v0, params), params, config, 1)
     assert stats.current_step_size < 1.99 or stats.divergences > 0
 
 
@@ -314,8 +311,8 @@ def test_divergent_rows_rejected_not_crashed():
     params = random_tiny_params(9)
     v0 = np.random.default_rng(10).standard_normal((6, 4))
     config = HmcConfig(step_size=1e6, seed=2)     # blows up immediately
-    v1, stats = hmc_chain(v0, params, config, 3)
-    assert np.all(np.isfinite(v1))
+    chain, stats = hmc_chain(Chain.at(v0, params), params, config, 3)
+    assert np.all(np.isfinite(chain.rows))
     assert stats.divergences > 0
     assert stats.accepted <= stats.proposed
     # divergence forces the halving branch
@@ -325,7 +322,7 @@ def test_divergent_rows_rejected_not_crashed():
 def test_stats_csv_lines():
     params = zero_params(3)
     v0 = np.random.default_rng(11).standard_normal((4, 3))
-    _, stats = hmc_chain(v0, params, HmcConfig(seed=12), 5)
+    _, stats = hmc_chain(Chain.at(v0, params), params, HmcConfig(seed=12), 5)
     lines = stats.csv_lines()
     assert len(lines) == 5
     assert all(len(line.split(",")) == 3 for line in lines)
@@ -367,15 +364,17 @@ def reference_chain(case):
     if case == "paper":     # rejects most proposals at this step, not all
         params = init_params(ModelShape(200, 256, 2, 256, 100, 256, 256), 3)
         v0 = 0.1 * np.random.default_rng(5).standard_normal((64, 200))
-        return hmc_chain(v0, params, HmcConfig(step_size=0.002, seed=6), 4)
+        return hmc_chain(Chain.at(v0, params), params, HmcConfig(step_size=0.002, seed=6), 4)
     v0 = np.random.default_rng(3).standard_normal((5, 4))
     config = HmcConfig(n_leapfrog=3, step_size=0.5, seed=4)
-    return hmc_chain(v0, random_tiny_params(2), config, 6)
+    params = random_tiny_params(2)
+    return hmc_chain(Chain.at(v0, params), params, config, 6)
 
 
 @pytest.mark.parametrize("case", CHAIN_REFERENCE)
 def test_chain_keeps_its_bits(case):
-    v, stats = reference_chain(case)
+    chain, stats = reference_chain(case)
+    v = chain.rows
     digest, v_sum, accepted = CHAIN_REFERENCE[case]
     assert 0 < stats.accepted < stats.proposed
     if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:

@@ -10,7 +10,6 @@ from mpkrbm.synth import (
     quadrature_gabor_basis,
     render_quadrature_patches,
     sample_coupled_phases,
-    sample_von_mises,
     von_mises_pair_pdf,
     wrap_angle,
 )
@@ -56,20 +55,6 @@ def test_pdf_symmetry_under_swap():
 def test_negative_kappa_rejected():
     with pytest.raises(ParameterError):
         VonMisesPair(kappa=-1.0, mu=0.0)
-    with pytest.raises(ParameterError):
-        sample_von_mises(-2.0, 10, np.random.default_rng(0))
-
-
-def test_von_mises_sampler_concentration():
-    rng = np.random.default_rng(1)
-    draws = sample_von_mises(5.0, 10000, rng)
-    resultant = np.hypot(np.cos(draws).mean(), np.sin(draws).mean())
-    # invert A(k) = I1/I0 numerically for the MLE of the concentration
-    from scipy.optimize import brentq
-    kappa_hat = brentq(lambda k: special.i1(k) / special.i0(k) - resultant, 1e-3, 100)
-    assert abs(kappa_hat - 5.0) / 5.0 < 0.1
-    mean_angle = np.arctan2(np.sin(draws).mean(), np.cos(draws).mean())
-    assert abs(mean_angle) < 0.05
 
 
 def test_coupled_phases_marginals_uniform():

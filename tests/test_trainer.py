@@ -31,24 +31,22 @@ from mpkrbm.trainer import (
 )
 
 
-def identity_sampler(data, params, hmc_config, n_simulations, rng=None, with_phase=True,
-                     step_size=None):
+def identity_sampler(data, params, hmc_config, n_simulations, rng=None, step_size=None):
     """Test hook, called as `hmc_chain` is: the 'model' batch is exactly the
     data batch."""
     assert n_simulations == 1
     stats = HmcStats(accepted=data.rows.shape[0], proposed=data.rows.shape[0],
                      current_step_size=step_size or 0.01)
     stats.trace.append((stats.current_step_size, 0.0, 0.0))
-    return Chain.at(data.rows.copy(), params, with_phase), stats
+    return Chain.at(data.rows.copy(), params, data.forward.with_phase), stats
 
 
 def shift_sampler(offset):
-    def sampler(data, params, hmc_config, n_simulations, rng=None, with_phase=True,
-                step_size=None):
+    def sampler(data, params, hmc_config, n_simulations, rng=None, step_size=None):
         stats = HmcStats(accepted=data.rows.shape[0], proposed=data.rows.shape[0],
                          current_step_size=step_size or 0.01)
         stats.trace.append((stats.current_step_size, 0.0, 0.0))
-        return Chain.at(data.rows + offset, params, with_phase), stats
+        return Chain.at(data.rows + offset, params, data.forward.with_phase), stats
     return sampler
 
 
@@ -375,14 +373,13 @@ def test_training_reduces_data_free_energy():
 def test_nan_update_aborts_step():
     params, batch = small_setup(12)
 
-    def nan_sampler(data, params_, hmc_config, n_simulations, rng=None, with_phase=True,
-                    step_size=None):
+    def nan_sampler(data, params_, hmc_config, n_simulations, rng=None, step_size=None):
         bad = data.rows.copy()
         bad[0, 0] = np.nan
         stats = HmcStats(accepted=0, proposed=bad.shape[0],
                          current_step_size=step_size or 0.01)
         stats.trace.append((stats.current_step_size, 1.0, np.nan))
-        return Chain.at(bad, params_, with_phase), stats
+        return Chain.at(bad, params_, data.forward.with_phase), stats
 
     from mpkrbm.errors import NumericError
     with pytest.raises(NumericError):
