@@ -41,16 +41,9 @@ At alpha = 2, the paper's case, |y|**2 is y*y bit for bit, so the pooled
 amplitude s = sqrt(sum y^2) and the phase amplitude r = sqrt(sum y^2 +
 eps^2) share one sum of squares; any other alpha raises |y| to its power.
 
-The intermediates are written with `out=` operations into a `Workspace`,
-a set of named buffers reused from one call to the next. Whoever creates
-a workspace owns it: `sampler.hmc_chain` keeps one for the float32
-gradients of its simulations and two that their float64 forwards with F
-take turns with, `sampler.Chain.at` one for the forward it makes, and
-`trainer.cd1_step` one for the backward buffers that its two
-parameter-gradient passes share. A call given no workspace gets a fresh
-one, so there is one code path either way. Arrays returned by the gradient
-functions are never workspace buffers; the views here each run on a
-fresh workspace, so what they return is the caller's alone.
+Each forward's intermediates are arrays of its own, freed with it: nothing
+is kept from one call to the next, and an op writes over an array only
+where nothing reads it any more.
 
 All public operations are pure functions of (v, params); v may be a single
 vector (D,) or rows with any leading shape (..., D). They run in the dtype
@@ -69,58 +62,20 @@ from .preprocess import EPS_NORM
 EPS_R = 1e-6
 
 
-class Workspace:
-    """Buffers that `_forward` and `grad`'s backward pass fill with `out=`
-    operations, one per (name, shape, dtype).
-
-    Whoever creates a workspace owns it and passes it to one call after
-    another; each call overwrites what the last one left there. A buffer
-    is allocated on the first request for its name, shape and dtype, so a
-    caller that evaluates one batch shape many times allocates once.
-    "tmp" and "tmp2" are scratch: each use ends before the next request
-    for the same name and shape. The functions that take a workspace
-    return only arrays of their own, never one of its buffers; a call
-    given none works in a fresh one that nothing else holds.
-
-    `dtype` is the type of a request that names none. `_forward` works in
-    the dtype of its params through `as_dtype`, a view that shares the
-    buffers, so a workspace handed to a call of the other dtype still gets
-    buffers of the call's dtype and never one of the other's. Every owner
-    in the package keeps one workspace per dtype; the float32-then-float64
-    use is pinned by `test_grad.py::test_float64_forward_keeps_its_bits`.
-    """
-
-    def __init__(self, dtype=np.float64, buffers=None):
-        self.dtype = np.dtype(dtype)
-        self._buffers = {} if buffers is None else buffers
-
-    def as_dtype(self, dtype):
-        """These buffers, with `dtype` the type of a request that names none."""
-        dtype = np.dtype(dtype)
-        return self if dtype == self.dtype else Workspace(dtype, self._buffers)
-
-    def __call__(self, name, shape, dtype=None):
-        key = (name, shape, self.dtype if dtype is None else dtype)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = self._buffers[key] = np.empty(shape, key[2])
-        return buf
-
-
-def _exp_neg_abs(ws, name, y):
+def _exp_neg_abs(y):
     """exp(-|y|), the one exp that a gate's softplus and sigmoid share."""
-    e = np.abs(y, out=ws(name + ".exp", y.shape))
+    e = np.abs(y)
     return np.exp(np.negative(e, out=e), out=e)
 
 
-def _softplus(ws, y, e):
-    """log(1 + exp(y)) = max(y, 0) + log1p(e), with e = exp(-|y|), in scratch."""
-    out = np.log1p(e, out=ws("tmp", y.shape))
-    out += np.maximum(y, 0.0, out=ws("tmp2", y.shape))
+def _softplus(y, e):
+    """log(1 + exp(y)) = max(y, 0) + log1p(e), with e = exp(-|y|)."""
+    out = np.log1p(e)
+    out += np.maximum(y, 0.0)
     return out
 
 
-def _sigmoid(ws, name, y, e):
+def _sigmoid(y, e):
     """1 / (1 + exp(-y)) from e = exp(-|y|): 1/(1+e) where y >= 0,
     e/(1+e) elsewhere (NaN included).
 
@@ -129,52 +84,47 @@ def _sigmoid(ws, name, y, e):
     divisions bit for bit. A divide masked by the sign of y runs its inner
     loop once per run of equal signs: on random signs, about 30 times
     slower than the unmasked divide."""
-    nonneg = np.greater_equal(y, 0.0, out=ws("tmp", y.shape, bool))
-    out = np.maximum(e, nonneg, out=ws(name + ".sigmoid", y.shape))
-    return np.divide(out, np.add(e, 1.0, out=ws("tmp", y.shape)), out=out)
+    out = np.maximum(e, np.greater_equal(y, 0.0))
+    return np.divide(out, np.add(e, 1.0), out=out)
 
 
 def softplus(y):
     """log(1 + exp(y)) computed without overflow."""
-    y = np.asarray(y, dtype=np.float64)
-    ws = Workspace()
-    return _softplus(ws, y, _exp_neg_abs(ws, "y", y))[()]
+    y = np.asarray(y, dtype=np.float64)[None]     # an array even for a scalar y
+    return _softplus(y, _exp_neg_abs(y))[0]
 
 
 def sigmoid(y):
-    y = np.asarray(y, dtype=np.float64)
-    ws = Workspace()
-    return _sigmoid(ws, "y", y, _exp_neg_abs(ws, "y", y))[()]
+    y = np.asarray(y, dtype=np.float64)[None]
+    return _sigmoid(y, _exp_neg_abs(y))[0]
 
 
-def _sum_last(a, out):
+def _sum_last(a):
     """a.sum(axis=-1) as adds of its trailing planes, in np.sum's order:
     far cheaper than a reduction over a short trailing axis."""
-    if a.shape[-1] == 1:
-        np.copyto(out, a[..., 0])
-    else:
-        np.add(a[..., 0], a[..., 1], out=out)
+    out = a[..., 0].copy() if a.shape[-1] == 1 else np.add(a[..., 0], a[..., 1])
     for plane in range(2, a.shape[-1]):
         out += a[..., plane]
     return out
 
 
-def _per_plane(op, a, b, out):
-    """op(a, b[..., None], out=out) one trailing plane at a time: numpy
-    broadcasts over a short trailing axis several times slower."""
+def _per_plane(op, a, b, out=None):
+    """op(a, b[..., None], out=out), into a new array if `out` is None, one
+    trailing plane at a time: numpy broadcasts over a short trailing axis
+    several times slower."""
+    out = np.empty_like(a) if out is None else out
     for plane in range(a.shape[-1]):
         op(a[..., plane], b, out=out[..., plane])
     return out
 
 
-def _forward(v, params, with_phase=True, normalize=True, workspace=None):
+def _forward(v, params, with_phase=True, normalize=True):
     """Every intermediate of F at the rows of v, flattened to (B, D).
 
     With `normalize` the pooling and phase paths see u = v / max(||v||, eps);
     without it they see v as given (the drive views take an already
     normalized patch). `lead` is the caller's leading shape; `_view`
-    restores it on any per-row result. The intermediates live in
-    `workspace` (a fresh one if none is given) until its next use.
+    restores it on any per-row result.
 
     The pass runs in the dtype of the params, to which v is cast: float64
     params give float64 intermediates, float32 ones float32.
@@ -188,65 +138,55 @@ def _forward(v, params, with_phase=True, normalize=True, workspace=None):
     if with_phase and L != 2:
         raise ParameterError(f"phase units require subspace dimension L = 2, got L={L}")
 
-    ws = (Workspace() if workspace is None else workspace).as_dtype(v.dtype)
-    fw = SimpleNamespace(lead=v.shape[:-1], with_phase=with_phase, ws=ws)
+    fw = SimpleNamespace(lead=v.shape[:-1], with_phase=with_phase)
     V = fw.V = v.reshape(-1, D)
     B = V.shape[0]
-    N, M = params.P.shape[1], params.W.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        fw.sq_norm = np.add.reduce(np.multiply(V, V, out=ws("tmp", (B, D))), axis=1,
-                                   out=ws("|v|^2", (B,)))
-        fw.norm = np.sqrt(fw.sq_norm[:, None], out=ws("norm", (B, 1)))
-        fw.nu = np.maximum(fw.norm, EPS_NORM, out=ws("nu", (B, 1)))
-        fw.U = np.divide(V, fw.nu, out=ws("U", (B, D))) if normalize else V
-        Y = fw.Y = np.matmul(fw.U, params.C.reshape(D, F * L),
-                             out=ws("Y", (B, F * L))).reshape(B, F, L)
+        fw.sq_norm = np.add.reduce(np.multiply(V, V), axis=1)
+        fw.norm = np.sqrt(fw.sq_norm[:, None])
+        fw.nu = np.maximum(fw.norm, EPS_NORM)
+        fw.U = np.divide(V, fw.nu) if normalize else V
+        Y = fw.Y = np.matmul(fw.U, params.C.reshape(D, F * L)).reshape(B, F, L)
         if params.alpha == 2.0 or with_phase:
-            sum_sq = _sum_last(np.multiply(Y, Y, out=ws("tmp", (B, F, L))), ws("sum_sq", (B, F)))
+            sum_sq = _sum_last(np.multiply(Y, Y))
         if params.alpha == 2.0:     # |y|**2 is y*y bit for bit: s shares r's sum of squares
-            fw.s = np.sqrt(sum_sq, out=ws("s", (B, F)))
+            fw.s = np.sqrt(sum_sq)
         else:
-            pow_y = np.abs(Y, out=ws("tmp", (B, F, L)))
+            pow_y = np.abs(Y)
             pow_y **= params.alpha
-            fw.s = _sum_last(pow_y, ws("s", (B, F)))
+            fw.s = _sum_last(pow_y)
             fw.s **= 1.0 / params.alpha
-        fw.phi = np.matmul(np.multiply(fw.s, 0.5, out=ws("tmp", (B, F))), params.P,
-                           out=ws("phi", (B, N)))
+        fw.phi = np.matmul(np.multiply(fw.s, 0.5), params.P)
         fw.phi += params.b_c
-        fw.m = np.matmul(V, params.W, out=ws("m", (B, M)))
+        fw.m = np.matmul(V, params.W)
         fw.m += params.b_m
-        fw.e_p = _exp_neg_abs(ws, "p", fw.phi)
-        fw.e_m = _exp_neg_abs(ws, "m", fw.m)
+        fw.e_p = _exp_neg_abs(fw.phi)
+        fw.e_m = _exp_neg_abs(fw.m)
         if with_phase:
-            G, T = params.R.shape
-            r2 = np.add(sum_sq, EPS_R * EPS_R, out=ws("r", (B, F)))
+            G = params.R.shape[0]
+            r2 = np.add(sum_sq, EPS_R * EPS_R, out=sum_sq)     # sum_sq is dead from here
             fw.r = np.sqrt(r2, out=r2)
-            fw.x = _per_plane(np.divide, Y, fw.r, ws("x", (B, F, L)))
-            fw.q = np.matmul(fw.x.reshape(B, F * L), params.Q.reshape(F * L, G),
-                             out=ws("q", (B, G)))
-            half_q2 = np.multiply(fw.q, fw.q, out=ws("tmp", (B, G)))
+            fw.x = _per_plane(np.divide, Y, fw.r)
+            fw.q = np.matmul(fw.x.reshape(B, F * L), params.Q.reshape(F * L, G))
+            half_q2 = np.multiply(fw.q, fw.q)
             half_q2 *= 0.5
-            fw.psi = np.matmul(half_q2, params.R, out=ws("psi", (B, T)))
+            fw.psi = np.matmul(half_q2, params.R)
             fw.psi += params.b_k
-            fw.e_k = _exp_neg_abs(ws, "k", fw.psi)
+            fw.e_k = _exp_neg_abs(fw.psi)
     return fw
 
 
 def _free_energy(fw, params):
-    """F at the rows of a forward pass, in its workspace until its next use:
-    the visible term 1/2 ||v||^2 - b_v . v (kept as `fw.quad`) less the
-    softplus sums of the three drives. Only callers that use F run it; the
-    leapfrog gradient does not."""
-    ws = fw.ws
-    B = fw.V.shape[0]
+    """F at the rows of a forward pass: the visible term 1/2 ||v||^2 -
+    b_v . v (kept as `fw.quad`) less the softplus sums of the three drives.
+    Only callers that use F run it; the leapfrog gradient does not."""
     with np.errstate(over="ignore", invalid="ignore"):
-        fw.quad = np.multiply(fw.sq_norm, 0.5, out=ws("quad", (B,)))
-        fw.quad -= np.matmul(fw.V, params.b_v, out=ws("tmp", (B,)))
-        fw.f = np.subtract(fw.quad, _softplus(ws, fw.phi, fw.e_p).sum(axis=1),
-                           out=ws("f", (B,)))
-        fw.f -= _softplus(ws, fw.m, fw.e_m).sum(axis=1)
+        fw.quad = np.multiply(fw.sq_norm, 0.5)
+        fw.quad -= np.matmul(fw.V, params.b_v)
+        fw.f = np.subtract(fw.quad, _softplus(fw.phi, fw.e_p).sum(axis=1))
+        fw.f -= _softplus(fw.m, fw.e_m).sum(axis=1)
         if fw.with_phase:
-            fw.f -= _softplus(ws, fw.psi, fw.e_k).sum(axis=1)
+            fw.f -= _softplus(fw.psi, fw.e_k).sum(axis=1)
     return fw.f
 
 
@@ -356,9 +296,9 @@ class HiddenActivations:
 def hidden_conditionals(v, params, with_phase=True):
     fw = _forward(v, params, with_phase)
     return HiddenActivations(
-        p_hp=_view(fw, _sigmoid(fw.ws, "p", fw.phi, fw.e_p)),
-        p_hm=_view(fw, _sigmoid(fw.ws, "m", fw.m, fw.e_m)),
-        p_hk=_view(fw, _sigmoid(fw.ws, "k", fw.psi, fw.e_k)) if with_phase else None,
+        p_hp=_view(fw, _sigmoid(fw.phi, fw.e_p)),
+        p_hm=_view(fw, _sigmoid(fw.m, fw.e_m)),
+        p_hk=_view(fw, _sigmoid(fw.psi, fw.e_k)) if with_phase else None,
     )
 
 

@@ -19,12 +19,6 @@ test computed, at the data and at the model rows.
 alpha = 2 the backward takes d s / d y = y / s, which equals
 sign(y) |y| / s bit for bit but for the sign of a zero y; any other alpha
 takes (|y| / s)**(alpha - 1) sign(y).
-
-Each takes an optional `energy.Workspace`, owned by the caller, that holds
-the intermediates from one call to the next: `grad_params_from_forward`
-its backward's alone, so that two forwards can share one set of backward
-buffers. What they return is always a new array, never a workspace buffer,
-so a result survives any later call through the same workspace.
 """
 
 from dataclasses import dataclass, field
@@ -54,130 +48,123 @@ class ParamGradient:
     f_rows: np.ndarray = None
 
 
-def _backward(fw, params, ws):
+def _backward(fw, params):
     """Add the hidden gates and dF/dy (B, F, L), the derivative of F at
-    the subspace projections, to a forward pass, in workspace `ws`.
+    the subspace projections, to a forward pass.
 
     No masked ufunc runs on the common path: the gates are
     `energy._sigmoid`'s branch-free ones, and the guard of zero subspaces
     (s <= 0 divides by 1 and contributes 0) runs only when one `.any()` on
     its mask finds one; otherwise dy divides by s itself."""
     B, F, L = fw.Y.shape
-    fw.sig_p = energy._sigmoid(ws, "p", fw.phi, fw.e_p)
-    fw.sig_m = energy._sigmoid(ws, "m", fw.m, fw.e_m)
-    g_s = np.matmul(np.multiply(fw.sig_p, -0.5, out=ws("tmp", fw.sig_p.shape)), params.P.T,
-                    out=ws("g_s", (B, F)))
+    fw.sig_p = energy._sigmoid(fw.phi, fw.e_p)
+    fw.sig_m = energy._sigmoid(fw.m, fw.e_m)
+    g_s = np.matmul(np.multiply(fw.sig_p, -0.5), params.P.T)
     # d s_f / d y_fl = (|y|/s)^(alpha-1) * sign(y); zero subspaces contribute 0
-    zero = ws("s<=0", (B, F), bool)     # NaN included
-    np.logical_not(np.greater(fw.s, 0.0, out=zero), out=zero)
+    zero = np.greater(fw.s, 0.0)
+    np.logical_not(zero, out=zero)      # NaN included
     has_zero = zero.any()
     safe_s = np.where(zero, 1.0, fw.s) if has_zero else fw.s
     if params.alpha == 2.0:     # y / s is sign(y) * |y| / s, but for the sign of a zero
-        dy = energy._per_plane(np.divide, fw.Y, safe_s, ws("dy", (B, F, L)))
+        dy = energy._per_plane(np.divide, fw.Y, safe_s)
     else:
-        dy = np.abs(fw.Y, out=ws("dy", (B, F, L)))
+        dy = np.abs(fw.Y)
         energy._per_plane(np.divide, dy, safe_s, dy)
         dy **= params.alpha - 1.0
-        dy *= np.sign(fw.Y, out=ws("tmp", (B, F, L)))
+        dy *= np.sign(fw.Y)
     fw.dy = dy
     if has_zero:
         np.copyto(dy, 0.0, where=zero[..., None])
     energy._per_plane(np.multiply, dy, g_s, dy)
     if fw.with_phase:
-        fw.sig_k = energy._sigmoid(ws, "k", fw.psi, fw.e_k)
-        fw.g_q = np.matmul(fw.sig_k, params.R.T, out=ws("g_q", fw.q.shape))  # (B, G)
+        fw.sig_k = energy._sigmoid(fw.psi, fw.e_k)
+        fw.g_q = np.matmul(fw.sig_k, params.R.T)    # (B, G)
         np.negative(fw.g_q, out=fw.g_q)
         fw.g_q *= fw.q
-        g_x = np.matmul(fw.g_q, params.Q.reshape(F * L, -1).T,
-                        out=ws("g_x", (B, F * L))).reshape(B, F, L)
+        g_x = np.matmul(fw.g_q, params.Q.reshape(F * L, -1).T).reshape(B, F, L)
         # x = y / r with r^2 = |y|^2 + eps^2, so dx/dy = (I - x x') / r
-        g_x_x = energy._sum_last(np.multiply(g_x, fw.x, out=ws("tmp", (B, F, L))),
-                                 ws("tmp", (B, F)))
-        g_x -= energy._per_plane(np.multiply, fw.x, g_x_x, ws("tmp", (B, F, L)))
+        g_x_x = energy._sum_last(np.multiply(g_x, fw.x))
+        g_x -= energy._per_plane(np.multiply, fw.x, g_x_x)
         dy += energy._per_plane(np.divide, g_x, fw.r, g_x)
     return fw
 
 
-def grad_free_energy_v(v, params, with_phase=True, workspace=None):
+def grad_free_energy_v(v, params, with_phase=True):
     """dF/dv with the shape of v (single vector or batch of rows), from one
     forward and one backward pass and no F: what the leapfrog integrator
-    takes. A new array in the dtype of the params, whether or not the
-    caller passes a `workspace` (an `energy.Workspace`) for the
-    intermediates.
+    takes. A new array in the dtype of the params.
 
     Finite for any finite v: the amplitude regularizer and the
     constant-scale treatment below the normalization floor keep every
     path differentiable almost everywhere. Non-finite values are returned,
     not raised: HMC counts them as divergences.
     """
-    fw = energy._forward(v, params, with_phase, workspace=workspace)
-    ws = fw.ws
-    _backward(fw, params, ws)
+    fw = _backward(energy._forward(v, params, with_phase), params)
     D, F, L = params.C.shape
     B = fw.V.shape[0]
-    g_u = np.matmul(fw.dy.reshape(B, F * L), params.C.reshape(D, F * L).T,
-                    out=ws("g_u", (B, D)))
+    g_u = np.matmul(fw.dy.reshape(B, F * L), params.C.reshape(D, F * L).T)
 
     # Jacobian of u = v / max(||v||, eps): tangential projection above the
     # floor, plain 1/eps scaling below it.
     U = fw.U
-    g_u_u = np.add.reduce(np.multiply(g_u, U, out=ws("tmp", (B, D))), axis=1,
-                          out=ws("tmp", (B,)))
-    g_v = np.subtract(g_u, np.multiply(U, g_u_u[:, None], out=ws("tmp", (B, D))))
-    below = ws("tmp", (B, 1), bool)     # NaN included
-    np.logical_not(np.greater_equal(fw.norm, EPS_NORM, out=below), out=below)
+    g_u_u = np.add.reduce(np.multiply(g_u, U), axis=1)
+    g_v = np.subtract(g_u, np.multiply(U, g_u_u[:, None]))
+    below = np.greater_equal(fw.norm, EPS_NORM)
+    np.logical_not(below, out=below)    # NaN included
     if below.any():
         np.copyto(g_v, g_u, where=below)
     g_v /= fw.nu
-    visible = np.subtract(fw.V, params.b_v, out=ws("tmp", (B, D)))
-    visible -= np.matmul(fw.sig_m, params.W.T, out=ws("tmp2", (B, D)))
+    visible = np.subtract(fw.V, params.b_v)
+    visible -= np.matmul(fw.sig_m, params.W.T)
     g_v += visible
     return energy._view(fw, g_v)
 
 
-def grad_free_energy_params(v_batch, params, with_phase=True, workspace=None):
+def grad_free_energy_params(v_batch, params, with_phase=True):
     """`grad_params_from_forward` at the rows of `v_batch`, from a forward
-    run here, with F, in `workspace` (a fresh one if none is given)."""
+    run here, with F."""
     V = np.atleast_2d(np.asarray(v_batch, dtype=np.float64))
     if V.shape[0] == 0:
         raise DataError("empty batch")
-    fw = energy._forward(V, params, with_phase, workspace=workspace)
+    fw = energy._forward(V, params, with_phase)
     energy._free_energy(fw, params)
     return grad_params_from_forward(fw, params)
 
 
-def grad_params_from_forward(fw, params, workspace=None):
+def grad_params_from_forward(fw, params):
     """Mean over batch rows of dF/dTheta for every learnable tensor, with
-    the per-row F of the batch in `f_rows`, from a float64 forward
-    (`energy._forward`) whose F `energy._free_energy` has computed. The
-    backward's intermediates go into `workspace`, the forward's own if none
-    is given, and are added to `fw`; the forward's arrays are only read.
-    Every field is a new array.
+    the per-row F of the batch in `f_rows` (the forward's own `f`), from a
+    float64 forward (`energy._forward`) whose F `energy._free_energy` has
+    computed. The backward's intermediates are added to `fw`; the forward's
+    arrays are only read.
 
     Tensors of the phase family come back zero when the forward ran
     without the phase units. A non-finite drive or visible term raises
     NumericError, as in `energy.free_energy`.
     """
     energy._check_finite(fw, "grad_params_from_forward")
-    _backward(fw, params, fw.ws if workspace is None else workspace)
+    _backward(fw, params)
     B = fw.V.shape[0]
     D, F, L = params.C.shape
+    if fw.with_phase:
+        phase = dict(Q=(fw.x.reshape(B, F * L).T @ fw.g_q).reshape(params.Q.shape),
+                     R=-0.5 * (fw.q * fw.q).T @ fw.sig_k,
+                     b_k=-fw.sig_k.mean(axis=0))
+    else:
+        phase = {name: np.zeros_like(getattr(params, name)) for name in ("Q", "R", "b_k")}
     g = ParamGradient(
-        C=(fw.U.T @ fw.dy.reshape(B, F * L)).reshape(D, F, L) / B,
-        P=-0.5 * fw.s.T @ fw.sig_p / B,
-        W=-fw.V.T @ fw.sig_m / B,
-        Q=np.zeros_like(params.Q),
-        R=np.zeros_like(params.R),
+        C=(fw.U.T @ fw.dy.reshape(B, F * L)).reshape(D, F, L),
+        P=-0.5 * fw.s.T @ fw.sig_p,
+        W=-fw.V.T @ fw.sig_m,
         b_c=-fw.sig_p.mean(axis=0),
         b_m=-fw.sig_m.mean(axis=0),
-        b_k=np.zeros_like(params.b_k),
         b_v=-fw.V.mean(axis=0),
-        f_rows=fw.f.copy(),
+        f_rows=fw.f,
+        **phase,
     )
-    if fw.with_phase:
-        g.Q = (fw.x.reshape(B, F * L).T @ fw.g_q).reshape(params.Q.shape) / B
-        g.R = -0.5 * (fw.q * fw.q).T @ fw.sig_k / B
-        g.b_k = -fw.sig_k.mean(axis=0)
+    for name in ("C", "P", "W", "Q", "R"):      # sums over the rows, made means in place
+        product = getattr(g, name)
+        product /= B
     return g
 
 

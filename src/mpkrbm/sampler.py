@@ -42,7 +42,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .energy import Workspace, _forward, _free_energy
+from .energy import _forward, _free_energy
 from .errors import ParameterError
 from .grad import grad_free_energy_v
 
@@ -122,8 +122,8 @@ class Chain:
 
     @classmethod
     def at(cls, rows, params, with_phase=True):
-        """A chain at `rows` (B, D), its forward in a workspace of its own."""
-        fw = _forward(rows, params, with_phase, workspace=Workspace())
+        """A chain at `rows` (B, D)."""
+        fw = _forward(rows, params, with_phase)
         _free_energy(fw, params)
         return cls(fw)
 
@@ -132,24 +132,23 @@ class Chain:
         return self.forward.V
 
 
-def hmc_step(chain, params, gradient, n_leapfrog, step_size, rng, workspace):
+def hmc_step(chain, params, gradient, n_leapfrog, step_size, rng):
     """One HMC simulation of every row of `chain`, which must carry its
     dF/dv: a fresh momentum, `n_leapfrog` leapfrog steps driven by
     `gradient` (dF/dv at given rows, float64), the float64 forward with F
-    of the end point in `workspace`, with the chain's `with_phase`, and the
-    Metropolis test on H. Returns the next chain, the accept mask and
-    delta H (B,); a non-finite delta H is rejected.
+    of the end point, with the chain's `with_phase`, and the Metropolis
+    test on H. Returns the next chain, the accept mask and delta H (B,); a
+    non-finite delta H is rejected.
 
     The next chain is the end point's, with every rejected row of every
     array of its forward, and of its dF/dv, overwritten by the one of
     `chain`, so that its forward equals, bit for bit, one run afresh on the
-    rows it holds. It lives in `workspace`, which therefore must not hold
-    `chain.forward`. One step runs `n_leapfrog` gradients and one float64
-    forward.
+    rows it holds; `chain` is left intact. One step runs `n_leapfrog`
+    gradients and one float64 forward.
     """
     p0 = rng.standard_normal(chain.rows.shape)
     v1, p1, g1 = leapfrog(chain.rows, p0, chain.grad, gradient, step_size, n_leapfrog)
-    proposal = _forward(v1, params, chain.forward.with_phase, workspace=workspace)
+    proposal = _forward(v1, params, chain.forward.with_phase)
     f1 = _free_energy(proposal, params)
     h0 = chain.forward.f + 0.5 * np.sum(p0 * p0, axis=1)
     h1 = f1 + 0.5 * np.sum(p1 * p1, axis=1)
@@ -174,34 +173,27 @@ def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
     preserves its stream, so repeated 1-simulation calls, each on the Chain
     the last one returned, match one n-simulation call exactly.
 
-    The float32 gradients of the trajectory keep their own workspace; the
-    simulations keep their float64 forwards in two workspaces they take
-    turns with, neither the one of `chain.forward`, which stays intact. So n
-    simulations of K leapfrog steps run n*K float32 gradient-only forwards
-    and n float64 forwards with F, plus one float32 forward for a chain
-    without dF/dv (one from `Chain.at`).
+    `chain` itself stays intact. n simulations of K leapfrog steps run n*K
+    float32 gradient-only forwards and n float64 forwards with F, plus one
+    float32 forward for a chain without dF/dv (one from `Chain.at`).
     """
     config.validate()
     rng = np.random.default_rng(config.seed) if rng is None else rng
     eps = config.step_size if step_size is None else step_size
     stats = HmcStats()
 
-    workspace32 = Workspace(np.float32)
-    workspaces = (Workspace(), Workspace())
     params32 = params.astype(np.float32)
     with_phase = chain.forward.with_phase
 
     def gradient(x):
-        g = grad_free_energy_v(x, params32, with_phase=with_phase, workspace=workspace32)
-        return g.astype(np.float64)
+        return grad_free_energy_v(x, params32, with_phase=with_phase).astype(np.float64)
 
     # non-finite values are kept: the Metropolis step counts them as divergences
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if chain.grad is None:
             chain = Chain(chain.forward, gradient(chain.rows))
-        for i in range(n_simulations):
-            chain, accept, delta_h = hmc_step(chain, params, gradient, config.n_leapfrog,
-                                              eps, rng, workspaces[i % 2])
+        for _ in range(n_simulations):
+            chain, accept, delta_h = hmc_step(chain, params, gradient, config.n_leapfrog, eps, rng)
             finite = np.isfinite(delta_h)
             n_acc = int(accept.sum())
             n_div = int(accept.size - finite.sum())

@@ -11,7 +11,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import blas
-from .energy import Workspace
 from .errors import DataError, NumericError, ParameterError
 from .grad import grad_params_from_forward
 from .params import LEARNABLE_TENSORS, banded_pattern, project_constraints, save_checkpoint
@@ -112,8 +111,7 @@ class StepMetrics:
 
 
 def cd1_step(batch, params, config, hmc_config, step_size, rng,
-             trainable=ALL_TENSORS, with_phase=True, negative_sampler=None,
-             iteration=0, stage=0):
+             trainable=ALL_TENSORS, with_phase=True, iteration=0, stage=0):
     """One CD-1 update. Returns (new params, new step size, metrics).
 
     The data's float64 forward, with F, is run once (`sampler.Chain.at`,
@@ -123,36 +121,33 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     the proposal's, with each rejected row taken from the data's, which is
     what a forward of the model rows would compute, bit for bit. Both
     parameter gradients run their backward passes from these two forwards
-    (`grad.grad_params_from_forward`) in one shared workspace, and f_data
-    and f_model are the means of their F. The data's Chain carries no
-    dF/dv, so an iteration of K leapfrog steps runs K + 1 float32 forwards
-    and 2 float64 ones, 23 at the default K = 20.
+    (`grad.grad_params_from_forward`), and f_data and f_model are the means
+    of their F. The data's Chain carries no dF/dv, so an iteration of K
+    leapfrog steps runs K + 1 float32 forwards and 2 float64 ones, 23 at
+    the default K = 20.
 
     A NaN anywhere in the proposed update aborts the step with the
-    original params intact. `negative_sampler` is an injection point for
-    tests, called as `sampler.hmc_chain` is (the default, looked up at each
-    call): for one simulation from the data's Chain, returning the model's
-    Chain, with the data's `with_phase`, and its HmcStats.
+    original params intact.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
         raise DataError("empty batch")
     data = Chain.at(batch, params, with_phase)
-    model, stats = (negative_sampler or hmc_chain)(data, params, hmc_config, 1, rng=rng,
-                                                   step_size=step_size)
+    model, stats = hmc_chain(data, params, hmc_config, 1, rng=rng, step_size=step_size)
 
-    workspace = Workspace()     # the backward buffers of both passes
-    g_data = grad_params_from_forward(data.forward, params, workspace)
+    g_data = grad_params_from_forward(data.forward, params)
     del data                    # each forward is freed once its pass is done
-    g_model = grad_params_from_forward(model.forward, params, workspace)
+    g_model = grad_params_from_forward(model.forward, params)
     del model
 
     updates, norms = {}, {}
-    for name in LEARNABLE_TENSORS:
-        diff = getattr(g_model, name) - getattr(g_data, name)
+    for name in LEARNABLE_TENSORS:     # in the arrays of the two passes
+        diff = getattr(g_model, name)
+        diff -= getattr(g_data, name)
         norms[name] = float(np.linalg.norm(diff))
         if name in trainable:
-            proposed = getattr(params, name) + config.lr_for(name) * diff
+            proposed = np.multiply(diff, config.lr_for(name), out=getattr(g_data, name))
+            proposed += getattr(params, name)
             if not np.all(np.isfinite(proposed)):
                 raise NumericError(f"cd1_step: non-finite update for tensor {name}")
             updates[name] = proposed

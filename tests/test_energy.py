@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mpkrbm import energy
 from mpkrbm.energy import (
     EPS_R,
-    Workspace,
     free_energy,
     hidden_conditionals,
     phase_coupling_matrix,
@@ -342,9 +341,8 @@ def test_sigmoid_matches_the_masked_formula_bit_for_bit(dtype):
              700.0, 708.0, 709.0, 744.0, 745.0, 745.2, 746.0, 1e30]
     edges = np.array(edges + [-x for x in edges])
     for y in (random_signs.astype(dtype), edges.astype(dtype)):
-        ws = Workspace(dtype)
-        e = energy._exp_neg_abs(ws, "y", y)
-        got = energy._sigmoid(ws, "y", y, e)
+        e = energy._exp_neg_abs(y)
+        got = energy._sigmoid(y, e)
         assert got.dtype == dtype
         assert got.tobytes() == masked_sigmoid(y, e).tobytes()
     # the edge cases reach a subnormal and a zero e in each dtype

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpkrbm import blas, energy
-from mpkrbm.energy import Workspace, free_energy, hidden_conditionals
+from mpkrbm.energy import free_energy, hidden_conditionals
 from mpkrbm.errors import DataError, NumericError, ParameterError
 from mpkrbm.grad import (
     TINY_SHAPE,
@@ -182,24 +182,23 @@ def test_gradient_paths_reject_invalid_alpha(alpha):
 
 
 @pytest.mark.parametrize("with_phase", [True, False])
-def test_workspace_calls_return_arrays_of_their_own(with_phase):
-    # two calls through one workspace: the second must not touch what the
-    # first returned, and each must equal a call with a fresh workspace
+def test_calls_return_arrays_of_their_own(with_phase):
+    # two calls in a row: the second must not touch what the first
+    # returned, and each must equal a call of its own
     params = random_tiny_params(24, alpha=1.5)
     rng = np.random.default_rng(25)
     V1, V2 = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
-    workspace = Workspace()
 
-    g1 = grad_free_energy_v(V1, params, with_phase=with_phase, workspace=workspace)
+    g1 = grad_free_energy_v(V1, params, with_phase=with_phase)
     kept = g1.copy()
-    g2 = grad_free_energy_v(V2, params, with_phase=with_phase, workspace=workspace)
+    g2 = grad_free_energy_v(V2, params, with_phase=with_phase)
     assert np.array_equal(g1, kept)
     for g, V in ((g1, V1), (g2, V2)):
         assert np.array_equal(g, grad_free_energy_v(V, params, with_phase=with_phase))
 
-    p1 = grad_free_energy_params(V1, params, with_phase=with_phase, workspace=workspace)
+    p1 = grad_free_energy_params(V1, params, with_phase=with_phase)
     kept = {name: getattr(p1, name).copy() for name in LEARNABLE_TENSORS + ("f_rows",)}
-    p2 = grad_free_energy_params(V2, params, with_phase=with_phase, workspace=workspace)
+    p2 = grad_free_energy_params(V2, params, with_phase=with_phase)
     for name, value in kept.items():
         assert np.array_equal(getattr(p1, name), value), name
     for got, V in ((p1, V1), (p2, V2)):
@@ -228,10 +227,8 @@ REFERENCE_PLATFORM = ("2.4.6", b"SkylakeX")
 def test_float64_forward_keeps_its_bits(alpha, with_phase):
     params = init_params(PAPER_SHAPE, 3, alpha=alpha)
     v = np.random.default_rng(4).standard_normal((128, 200))
-    workspace = Workspace()     # holding float32 buffers of every name first
-    grad_free_energy_v(v, params.astype(np.float32), with_phase=with_phase, workspace=workspace)
     f = free_energy(v, params, with_phase=with_phase)
-    g = grad_free_energy_v(v, params, with_phase=with_phase, workspace=workspace)
+    g = grad_free_energy_v(v, params, with_phase=with_phase)
     assert f.dtype == g.dtype == np.float64
     digest, f_sum, g_sum = FLOAT64_REFERENCE[alpha, with_phase]
     if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:

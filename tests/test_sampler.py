@@ -1,5 +1,6 @@
 import ctypes
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -181,6 +182,25 @@ def test_chain_returns_float64_and_leaves_its_params_alone():
         assert now.dtype == then.dtype == np.float64
         assert now.tobytes() == then.tobytes(), name
     assert params.alpha == before.alpha
+
+
+def test_chain_memory_does_not_grow_with_simulations():
+    # each simulation's forwards die with it, so running more simulations
+    # must not raise the peak by as much as one float64 forward more
+    params = init_params(ModelShape(200, 256, 2, 256, 100, 256, 256), 3)
+    start = Chain.at(np.random.default_rng(8).standard_normal((64, 200)), params)
+    forward_bytes = sum(a.nbytes for a in forward_arrays(start.forward).values())
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (2, 6):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            hmc_chain(start, params, HmcConfig(seed=9), n)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < forward_bytes, (peaks, forward_bytes)
 
 
 def test_small_step_limit_accepts():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mpkrbm import blas, energy
+from mpkrbm import blas, energy, trainer
 from mpkrbm.energy import free_energy
 from mpkrbm.errors import DataError, NumericError
 from mpkrbm.grad import grad_free_energy_params, random_tiny_params
@@ -58,11 +58,11 @@ def small_setup(seed=0):
     return params, batch
 
 
-def test_identity_sampler_changes_nothing_beyond_projection():
+def test_identity_sampler_changes_nothing_beyond_projection(monkeypatch):
     params, batch = small_setup(1)
     config = TrainerConfig(batch_size=6, seed=0)
-    out, _, _ = cd1_step(batch, params, config, HmcConfig(), 0.01,
-                         np.random.default_rng(0), negative_sampler=identity_sampler)
+    monkeypatch.setattr(trainer, "hmc_chain", identity_sampler)
+    out, _, _ = cd1_step(batch, params, config, HmcConfig(), 0.01, np.random.default_rng(0))
     projected = project_constraints(params)
     for name in LEARNABLE_TENSORS:
         assert np.allclose(getattr(out, name), getattr(projected, name), atol=1e-14), name
@@ -92,12 +92,12 @@ def test_frozen_p_bit_identical():
     assert out.R.tobytes() == params.R.tobytes()
 
 
-def test_update_equals_lr_times_gradient_difference():
+def test_update_equals_lr_times_gradient_difference(monkeypatch):
     params, batch = small_setup(5)
     offset = 0.3
     config = TrainerConfig(batch_size=6, seed=0)
-    out, _, _ = cd1_step(batch, params, config, HmcConfig(), 0.01,
-                         np.random.default_rng(3), negative_sampler=shift_sampler(offset))
+    monkeypatch.setattr(trainer, "hmc_chain", shift_sampler(offset))
+    out, _, _ = cd1_step(batch, params, config, HmcConfig(), 0.01, np.random.default_rng(3))
     # recompute the update independently with the grad module, then apply
     # the same projection the step applies
     g_data = grad_free_energy_params(batch, params)
@@ -114,20 +114,20 @@ def test_update_equals_lr_times_gradient_difference():
 
 
 @pytest.mark.parametrize("with_phase", [True, False])
-def test_metrics_are_the_free_energies_of_both_batches(with_phase):
+def test_metrics_are_the_free_energies_of_both_batches(with_phase, monkeypatch):
     params, batch = small_setup(13)
     before = params.copy()
     offset = 0.3
+    monkeypatch.setattr(trainer, "hmc_chain", shift_sampler(offset))
     _, _, metrics = cd1_step(batch, params, TrainerConfig(batch_size=6, seed=0), HmcConfig(),
-                             0.01, np.random.default_rng(4), with_phase=with_phase,
-                             negative_sampler=shift_sampler(offset))
+                             0.01, np.random.default_rng(4), with_phase=with_phase)
     f_data = np.mean(free_energy(batch, before, with_phase=with_phase))
     f_model = np.mean(free_energy(batch + offset, before, with_phase=with_phase))
     assert abs(metrics.f_data - f_data) <= 1e-12
     assert abs(metrics.f_model - f_model) <= 1e-12
 
 
-def test_metrics_rows_carry_the_sampler_health():
+def test_metrics_rows_carry_the_sampler_health(monkeypatch):
     params, batch = small_setup(13)
 
     def unhealthy_sampler(*args, **kwargs):
@@ -135,20 +135,21 @@ def test_metrics_rows_carry_the_sampler_health():
         stats.divergences, stats.mean_delta_h = 2, 0.25
         return model, stats
 
+    monkeypatch.setattr(trainer, "hmc_chain", unhealthy_sampler)
     _, _, metrics = cd1_step(batch, params, TrainerConfig(batch_size=6, seed=0), HmcConfig(),
-                             0.01, np.random.default_rng(4), negative_sampler=unhealthy_sampler)
+                             0.01, np.random.default_rng(4))
     assert (metrics.divergences, metrics.mean_delta_h) == (2, 0.25)
     row = dict(zip(StepMetrics.CSV_COLUMNS, metrics.csv_line().split(",")))
     assert (row["divergences"], row["mean_delta_h"]) == ("2", "0.25")
 
 
-def test_model_pass_leaves_the_data_pass_intact():
-    # both parameter-gradient passes share one workspace; f_data and the
-    # update must equal those of passes with workspaces of their own
+def test_model_pass_leaves_the_data_pass_intact(monkeypatch):
+    # the step forms its update in the arrays the two gradient passes return;
+    # f_data, f_model and the update must equal those of passes run apart
     params, batch = small_setup(15)
     config = TrainerConfig(batch_size=6, seed=0)
-    out, _, metrics = cd1_step(batch, params, config, HmcConfig(), 0.01,
-                               np.random.default_rng(4), negative_sampler=shift_sampler(0.3))
+    monkeypatch.setattr(trainer, "hmc_chain", shift_sampler(0.3))
+    out, _, metrics = cd1_step(batch, params, config, HmcConfig(), 0.01, np.random.default_rng(4))
     g_data = grad_free_energy_params(batch, params)
     g_model = grad_free_energy_params(batch + 0.3, params)
     assert metrics.f_data == float(np.mean(g_data.f_rows))
@@ -215,13 +216,13 @@ def test_cd1_step_keeps_its_bits(case):
     assert sum(metrics.grad_norms.values()) == pytest.approx(float.fromhex(norm_sum), rel=1e-6)
 
 
-def test_non_finite_model_batch_raises_with_nothing_trainable():
+def test_non_finite_model_batch_raises_with_nothing_trainable(monkeypatch):
     # no update to check, so the drive check of the gradient pass must catch it
     params, batch = small_setup(15)
+    monkeypatch.setattr(trainer, "hmc_chain", shift_sampler(np.nan))
     with pytest.raises(NumericError):
         cd1_step(batch, params, TrainerConfig(batch_size=6, seed=0), HmcConfig(), 0.01,
-                 np.random.default_rng(6), trainable=frozenset(),
-                 negative_sampler=shift_sampler(np.nan))
+                 np.random.default_rng(6), trainable=frozenset())
 
 
 def test_constraints_hold_after_real_steps():
@@ -370,7 +371,7 @@ def test_training_reduces_data_free_energy():
     assert end < start
 
 
-def test_nan_update_aborts_step():
+def test_nan_update_aborts_step(monkeypatch):
     params, batch = small_setup(12)
 
     def nan_sampler(data, params_, hmc_config, n_simulations, rng=None, step_size=None):
@@ -382,6 +383,6 @@ def test_nan_update_aborts_step():
         return Chain.at(bad, params_, data.forward.with_phase), stats
 
     from mpkrbm.errors import NumericError
+    monkeypatch.setattr(trainer, "hmc_chain", nan_sampler)
     with pytest.raises(NumericError):
-        cd1_step(batch, params, TrainerConfig(), HmcConfig(), 0.01,
-                 np.random.default_rng(0), negative_sampler=nan_sampler)
+        cd1_step(batch, params, TrainerConfig(), HmcConfig(), 0.01, np.random.default_rng(0))
