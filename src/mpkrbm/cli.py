@@ -70,6 +70,10 @@ def _load_config(args, required=True):
     section = COMMANDS[args.command].seed_section
     if section and args.seed is not None:
         getattr(config, section).seed = args.seed
+    for name in ("data", "trainer", "hmc", "synth"):
+        seed = getattr(config, name).seed
+        if seed < 0:
+            raise ParameterError(f"[{name}] seed must be >= 0, got {seed}")
     return config
 
 
@@ -350,6 +354,8 @@ def main(argv=None):
     try:
         if getattr(args, "iterations", None) is not None and args.iterations < 1:
             raise ParameterError(f"--iterations must be at least 1, got {args.iterations}")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ParameterError(f"--seed must be >= 0, got {args.seed}")
         return COMMANDS[args.command].run(args)
     except (MpkError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

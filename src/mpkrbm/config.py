@@ -39,6 +39,9 @@ class DataConfig:
 
     def validate(self):
         _require_positive("data", self, "patch_size", "n_patches")
+        if not 0.0 < self.variance_fraction <= 1.0:
+            raise ParameterError("[data] variance_fraction must be in (0, 1], "
+                                 f"got {self.variance_fraction}")
 
 
 @dataclass

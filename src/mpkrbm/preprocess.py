@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .errors import DataError, ShapeError
+from .errors import DataError, ParameterError, ShapeError
 
 EPS_NORM = 1e-8
 # eigenvalues below this multiple of the largest are dropped outright
@@ -101,7 +101,7 @@ def fit_whitening(patches, variance_fraction, patch_size=0, channels=0):
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError("whitening needs at least 2 patches")
     if not 0.0 < variance_fraction <= 1.0:
-        raise DataError(f"variance_fraction must be in (0, 1], got {variance_fraction}")
+        raise ParameterError(f"variance_fraction must be in (0, 1], got {variance_fraction}")
     mean = X.mean(axis=0)
     Xc = X - mean
     cov = Xc.T @ Xc / (X.shape[0] - 1)

@@ -22,19 +22,18 @@ model: a float32 F is off by up to about 1e-3 nats at the paper shape,
 where |F| is in the hundreds, and that error would enter every delta H.
 Samples, like the params, are float64.
 
-One simulation is `hmc_step`, which carries the whole state of the
-chains from one simulation to the next, a `Chain`: the float64 forward with
-F at the rows, which records `with_phase`, and dF/dv there. It runs K
-float32 gradient-only forwards and one float64 forward with F, at the end
-point. `hmc_chain` takes a Chain, loops `hmc_step` over it and returns the
-final Chain. It adds one float32 forward at the start for dF/dv only when
-its chain has none (one fresh from `Chain.at`), so n simulations on a Chain
-it returned run n*K float32 forwards. Callers that hold rows make their
-Chain with `Chain.at`, which runs the float64 forward there. CD-1
-(`trainer.cd1_step`) gives it the data's Chain and runs its parameter
-gradients from the data's forward and the returned model rows' forward, so
-an iteration at the default K = 20 runs 23 forwards: 21 float32 and 2
-float64.
+`hmc_chain` takes a `Chain`, the whole state of the chains from one
+simulation to the next: the float64 forward with F at the rows, which
+records `with_phase`, and dF/dv there. Each simulation runs K float32
+gradient-only forwards and one float64 forward with F, at the end point,
+and `hmc_chain` returns the final Chain. It adds one float32 forward at the
+start for dF/dv only when its chain has none (one fresh from `Chain.at`),
+so n simulations on a Chain it returned run n*K float32 forwards. Callers
+that hold rows make their Chain with `Chain.at`, which runs the float64
+forward there. CD-1 (`trainer.cd1_step`) gives it the data's Chain and runs
+its parameter gradients from the data's forward and the returned model
+rows' forward, so an iteration at the default K = 20 runs 23 forwards: 21
+float32 and 2 float64.
 """
 
 from dataclasses import dataclass, field
@@ -132,40 +131,12 @@ class Chain:
         return self.forward.V
 
 
-def hmc_step(chain, params, gradient, n_leapfrog, step_size, rng):
-    """One HMC simulation of every row of `chain`, which must carry its
-    dF/dv: a fresh momentum, `n_leapfrog` leapfrog steps driven by
-    `gradient` (dF/dv at given rows, float64), the float64 forward with F
-    of the end point, with the chain's `with_phase`, and the Metropolis
-    test on H. Returns the next chain, the accept mask and delta H (B,); a
-    non-finite delta H is rejected.
-
-    The next chain is the end point's, with every rejected row of every
-    array of its forward, and of its dF/dv, overwritten by the one of
-    `chain`, so that its forward equals, bit for bit, one run afresh on the
-    rows it holds; `chain` is left intact. One step runs `n_leapfrog`
-    gradients and one float64 forward.
-    """
-    p0 = rng.standard_normal(chain.rows.shape)
-    v1, p1, g1 = leapfrog(chain.rows, p0, chain.grad, gradient, step_size, n_leapfrog)
-    proposal = _forward(v1, params, chain.forward.with_phase)
-    f1 = _free_energy(proposal, params)
-    h0 = chain.forward.f + 0.5 * np.sum(p0 * p0, axis=1)
-    h1 = f1 + 0.5 * np.sum(p1 * p1, axis=1)
-    delta_h = h1 - h0
-    accept = np.isfinite(delta_h) & (np.log(rng.uniform(size=len(p0))) < -delta_h)
-
-    rejected = np.flatnonzero(~accept)
-    for name, new in vars(proposal).items():     # proposal.V is v1
-        if isinstance(new, np.ndarray):
-            new[rejected] = getattr(chain.forward, name)[rejected]
-    g1[rejected] = chain.grad[rejected]
-    return Chain(proposal, g1), accept, delta_h
-
-
 def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
-    """Run `n_simulations` HMC simulations (`hmc_step`) on every row of
-    `chain`, a `Chain`, with the `with_phase` its forward records.
+    """Run `n_simulations` HMC simulations on every row of `chain`, a
+    `Chain`, with the `with_phase` its forward records. Each draws a fresh
+    momentum, runs `leapfrog`, takes the float64 forward with F of the end
+    point and applies the Metropolis test on H; a non-finite delta H is
+    rejected.
 
     Returns the final Chain, with its dF/dv, and an HmcStats whose
     current_step_size carries the adapted value (pass it back via
@@ -182,18 +153,36 @@ def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
     eps = config.step_size if step_size is None else step_size
     stats = HmcStats()
 
+    fw, grad = chain.forward, chain.grad
+    del chain       # the start forward dies once the first simulation replaces it
     params32 = params.astype(np.float32)
-    with_phase = chain.forward.with_phase
+    with_phase = fw.with_phase
 
     def gradient(x):
         return grad_free_energy_v(x, params32, with_phase=with_phase).astype(np.float64)
 
     # non-finite values are kept: the Metropolis step counts them as divergences
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if chain.grad is None:
-            chain = Chain(chain.forward, gradient(chain.rows))
+        if grad is None:
+            grad = gradient(fw.V)
         for _ in range(n_simulations):
-            chain, accept, delta_h = hmc_step(chain, params, gradient, config.n_leapfrog, eps, rng)
+            p0 = rng.standard_normal(fw.V.shape)
+            v1, p1, g1 = leapfrog(fw.V, p0, grad, gradient, eps, config.n_leapfrog)
+            proposal = _forward(v1, params, with_phase)
+            f1 = _free_energy(proposal, params)
+            h0 = fw.f + 0.5 * np.sum(p0 * p0, axis=1)
+            h1 = f1 + 0.5 * np.sum(p1 * p1, axis=1)
+            delta_h = h1 - h0
+            accept = np.isfinite(delta_h) & (np.log(rng.uniform(size=len(p0))) < -delta_h)
+            # a rejected row keeps every array of its forward, and its dF/dv, so the
+            # kept forward equals, bit for bit, one run afresh on the rows it holds
+            rejected = np.flatnonzero(~accept)
+            for name, new in vars(proposal).items():     # proposal.V is v1
+                if isinstance(new, np.ndarray):
+                    new[rejected] = getattr(fw, name)[rejected]
+            g1[rejected] = grad[rejected]
+            fw, grad = proposal, g1
+
             finite = np.isfinite(delta_h)
             n_acc = int(accept.sum())
             n_div = int(accept.size - finite.sum())
@@ -214,7 +203,7 @@ def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
     stats.current_step_size = eps
     finite_dh = [dh for _, _, dh in stats.trace if np.isfinite(dh)]
     stats.mean_delta_h = float(np.mean(finite_dh)) if finite_dh else float("nan")
-    return chain, stats
+    return Chain(fw, grad), stats
 
 
 def gaussian_moment_probe(n_chains=500, burn=400, keep=100, seed=0, dim=10,

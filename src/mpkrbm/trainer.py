@@ -144,7 +144,7 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     for name in LEARNABLE_TENSORS:     # in the arrays of the two passes
         diff = getattr(g_model, name)
         diff -= getattr(g_data, name)
-        norms[name] = float(np.linalg.norm(diff))
+        norms[name] = float(np.sqrt(np.sum(diff * diff)))
         if name in trainable:
             proposed = np.multiply(diff, config.lr_for(name), out=getattr(g_data, name))
             proposed += getattr(params, name)

@@ -166,6 +166,46 @@ def test_non_positive_size_or_count_exit_3_and_write_nothing(tmp_path, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, setting, message", [
+    ("preprocess", "--seed", "--seed must be >= 0, got -1"),
+    ("train", "--seed", "--seed must be >= 0, got -1"),
+    ("sample", "--seed", "--seed must be >= 0, got -1"),
+    ("synth", "--seed", "--seed must be >= 0, got -1"),
+    ("check", "--seed", "--seed must be >= 0, got -1"),
+    ("preprocess", ("data", "seed", -1), "[data] seed must be >= 0, got -1"),
+    ("train", ("trainer", "seed", -1), "[trainer] seed must be >= 0, got -1"),
+    ("sample", ("hmc", "seed", -1), "[hmc] seed must be >= 0, got -1"),
+    ("synth", ("synth", "seed", -1), "[synth] seed must be >= 0, got -1"),
+    ("preprocess", ("data", "variance_fraction", 2.0),
+     "[data] variance_fraction must be in (0, 1], got 2.0"),
+    ("preprocess", ("data", "variance_fraction", 0.0),
+     "[data] variance_fraction must be in (0, 1], got 0.0"),
+])
+def test_negative_seed_or_bad_variance_fraction_exit_3_and_write_nothing(tmp_path, capsys,
+                                                                         command, setting,
+                                                                         message):
+    cfg_path, config = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    argv = []
+    if command == "sample":
+        argv += ["--resume", str(save_tiny_checkpoint(tmp_path / "ck.mpk"))]
+    if setting == "--seed":
+        argv += ["--seed", "-1"]
+    else:
+        section, key, value = setting
+        setattr(getattr(config, section), key, value)
+        save_run_config(config, cfg_path)
+    if command != "check":
+        argv += ["--config", str(cfg_path)]
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main([command] + argv) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_synth_unparseable_pair_exit_2(tmp_path, capsys):
     cfg_path, config = base_config(tmp_path)
     config.synth.coupled_pairs = "a:2:1:0"

@@ -1,7 +1,11 @@
 import ctypes
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,9 +188,10 @@ def test_cd1_step_takes_its_metrics_from_the_gradient_passes(count_calls):
 # the rejection rate and the new step size; f_data, f_model and the sum of
 # the grad norms as exact floats; the rejected count. The digest holds
 # where it was recorded, numpy 2.4.6 on OpenBLAS's SkylakeX kernels, at one
-# and at two BLAS threads. The grad norms are not in it: np.linalg.norm
-# sums through BLAS, whose threads split the sum, so their last bits
-# follow the thread count.
+# and at two BLAS threads. The grad norms are not in it: their sum was
+# recorded from a BLAS sum, whose rounding follows the thread count, and
+# holds to rel 1e-6; cd1_step's own sum calls no BLAS, so its bits do not
+# follow the thread count (checked below).
 CD1_REFERENCE = {
     "phase": (0.01, "bbf669442dfc7311", "-0x1.dd9a00b85830cp+11", "-0x1.218c9a39d91f8p+12",
               "0x1.3d8cd03d14ea5p+11", 22),
@@ -214,6 +219,33 @@ def test_cd1_step_keeps_its_bits(case):
     assert metrics.f_data == pytest.approx(float.fromhex(f_data), rel=1e-9)
     assert metrics.f_model == pytest.approx(float.fromhex(f_model), rel=1e-6)
     assert sum(metrics.grad_norms.values()) == pytest.approx(float.fromhex(norm_sum), rel=1e-6)
+
+
+CD1_NORMS = """
+import numpy as np
+from mpkrbm.params import ModelShape, init_params
+from mpkrbm.sampler import HmcConfig
+from mpkrbm.trainer import TrainerConfig, cd1_step
+batch = np.random.default_rng(4).standard_normal((32, 200))
+_, _, metrics = cd1_step(batch, init_params(ModelShape(200, 256, 2, 256, 100, 256, 256), 3),
+                         TrainerConfig(batch_size=32), HmcConfig(seed=5), 0.01,
+                         np.random.default_rng(6))
+print(" ".join(float(n).hex() for n in metrics.grad_norms.values()))
+"""
+
+
+def test_cd1_grad_norms_do_not_follow_the_blas_thread_count():
+    # CD1_REFERENCE's phase case, run in fresh processes because OpenBLAS
+    # sizes its pool from OPENBLAS_NUM_THREADS when numpy loads
+    norms = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(trainer.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", CD1_NORMS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        norms.append(proc.stdout.split())
+    assert len(norms[0]) == len(LEARNABLE_TENSORS) and norms[0] == norms[1]
 
 
 def test_non_finite_model_batch_raises_with_nothing_trainable(monkeypatch):
