@@ -18,6 +18,10 @@ count (when numpy's BLAS is OpenBLAS) and `train --resume` warns when it
 differs. Likewise `preprocess` writes whitening.mpk bit for bit again only
 at the same BLAS thread count (`preprocess.fit_whitening`).
 
+Memory: `preprocess` holds the patch matrix, plus one centered copy while the
+whitening covariance is formed; `train` holds the whitened matrix only, the
+raw patches dying once whitened.
+
 Exit codes: 0 ok, 1 check failure, 2 data error or bad command line, 3 shape
 or parameter error, 4 missing dependency file. MPK_THREADS caps only the
 patch-extraction pool of `preprocess`; BLAS threads follow OPENBLAS_NUM_THREADS
@@ -91,30 +95,35 @@ def _existing(path, what):
     return path
 
 
-def cmd_preprocess(args):
-    config = _load_config(args)
-    config.data.validate()
-    data_dir = Path(config.paths.data_dir)
+def _extract_all(data, data_dir):
+    """The first data.n_patches patches of the images in `data_dir`, image k's
+    in row block k, and their channel count. Each worker writes its image's
+    patches straight into the one patch matrix: no per-image copy is made."""
     images = sorted(p for p in data_dir.glob("*") if p.suffix.lower() in (".ppm", ".pgm"))
     if not images:
         raise DataError(f"no PPM/PGM images found in {data_dir}")
-
-    per_image = int(np.ceil(config.data.n_patches / len(images)))
-
-    def pull(pair):
-        idx, path = pair
-        return extract_patches(pnm.read_pnm(path), config.data.patch_size,
-                               per_image, config.data.seed + idx)
-
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        chunks = list(pool.map(pull, enumerate(images)))
-    area = config.data.patch_size ** 2
-    by_channels = {chunk.shape[1] // area: path.name for chunk, path in zip(chunks, images)}
+    by_channels = {pnm.read_channels(path): path.name for path in images}
     if len(by_channels) > 1:
         raise DataError(f"images in {data_dir} mix channel counts: " + ", ".join(
             f"{name} has {ch}" for ch, name in sorted(by_channels.items())))
     (channels,) = by_channels
-    patches = np.concatenate(chunks, axis=0)[:config.data.n_patches]
+
+    per_image = int(np.ceil(data.n_patches / len(images)))
+    patches = np.empty((len(images) * per_image, data.patch_size ** 2 * channels))
+
+    def pull(idx):
+        extract_patches(pnm.read_pnm(images[idx]), data.patch_size, per_image, data.seed + idx,
+                        out=patches[idx * per_image:(idx + 1) * per_image])
+
+    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
+        list(pool.map(pull, range(len(images))))     # raises the first worker's error
+    return patches[:data.n_patches], channels
+
+
+def cmd_preprocess(args):
+    config = _load_config(args)
+    config.data.validate()
+    patches, channels = _extract_all(config.data, Path(config.paths.data_dir))
     whitening = fit_whitening(patches, config.data.variance_fraction,
                               patch_size=config.data.patch_size, channels=channels)
 
@@ -131,8 +140,8 @@ def cmd_preprocess(args):
 def cmd_train(args):
     config = _load_config(args)
     patches_path = _existing(config.paths.run_file("patches"), "patch file")
-    tensors = container.read_container(patches_path)
-    patches = tensors.get("patches")
+    # the raw patches die once whitened: only this name refers to them
+    patches = container.read_container(patches_path).get("patches")
     if patches is None or patches.ndim != 2:
         raise DataError(f"{patches_path}: patch file holds no 2-D 'patches' tensor")
     whitening_path = config.paths.run_file("whitening")

@@ -4,7 +4,8 @@ Only the binary variants are supported; anything else is the caller's job
 to convert. Pixels come back as float64 in [0, maxval]; grayscale images
 are (H, W), color images (H, W, 3). A malformed header, or one that
 declares more pixel bytes than the file holds, is a FormatError that names
-the file, raised before the pixels are read.
+the file, raised before the pixels are read. `read_channels` reads the
+header alone.
 """
 
 import os
@@ -40,20 +41,32 @@ def _read_count(fh, path, what):
     return int(token)
 
 
+def _read_header(fh, path):
+    """(channels, width, height, maxval) of the PNM header `fh` starts with."""
+    magic = fh.read(2)
+    if magic == b"P5":
+        channels = 1
+    elif magic == b"P6":
+        channels = 3
+    else:
+        raise FormatError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
+    width = _read_count(fh, path, "width")
+    height = _read_count(fh, path, "height")
+    maxval = _read_count(fh, path, "maxval")
+    if not 0 < maxval < 65536:
+        raise FormatError(f"{path}: invalid maxval {maxval}")
+    return channels, width, height, maxval
+
+
+def read_channels(path):
+    """The channel count the header of `path` declares: 1 for PGM, 3 for PPM."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)[0]
+
+
 def read_pnm(path):
     with open(path, "rb") as fh:
-        magic = fh.read(2)
-        if magic == b"P5":
-            channels = 1
-        elif magic == b"P6":
-            channels = 3
-        else:
-            raise FormatError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
-        width = _read_count(fh, path, "width")
-        height = _read_count(fh, path, "height")
-        maxval = _read_count(fh, path, "maxval")
-        if not 0 < maxval < 65536:
-            raise FormatError(f"{path}: invalid maxval {maxval}")
+        channels, width, height, maxval = _read_header(fh, path)
         dtype = ">u2" if maxval > 255 else "u1"
         n_bytes = width * height * channels * np.dtype(dtype).itemsize
         left = os.fstat(fh.fileno()).st_size - fh.tell()

@@ -16,14 +16,18 @@ from .errors import DataError, ParameterError, ShapeError
 EPS_NORM = 1e-8
 # eigenvalues below this multiple of the largest are dropped outright
 EIG_FLOOR_RATIO = 1e-9
+# elements per gather of extract_patches (256 KiB): glibc keeps a thread's
+# freed multi-megabyte blocks resident, so a pool worker allocates none
+GATHER_ELEMENTS = 1 << 15
 
 
-def extract_patches(image, patch_size, count, seed):
+def extract_patches(image, patch_size, count, seed, out=None):
     """Extract `count` square patches at uniformly random valid offsets.
 
     `image` is (H, W) or (H, W, 3); each returned row is the C-order
     flattening of one patch_size x patch_size x channels window. The rows
-    are one gather over the view of every window of the image.
+    are gathered from the view of every window of the image, GATHER_ELEMENTS
+    at a time, into `out` (count rows) when given, else into a new array.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 2:
@@ -39,7 +43,13 @@ def extract_patches(image, patch_size, count, seed):
     # windows[r, c] is the (patch_size, patch_size, ch) window at offset (r, c)
     windows = np.lib.stride_tricks.sliding_window_view(img, (patch_size, patch_size), axis=(0, 1))
     windows = windows.transpose(0, 1, 3, 4, 2)
-    return windows[rows, cols].reshape(count, patch_size * patch_size * ch)
+    if out is None:
+        out = np.empty((count, patch_size * patch_size * ch))
+    step = max(1, GATHER_ELEMENTS // out.shape[1])
+    for start in range(0, count, step):
+        stop = start + step
+        out[start:stop] = windows[rows[start:stop], cols[start:stop]].reshape(-1, out.shape[1])
+    return out
 
 
 @dataclass
@@ -96,7 +106,10 @@ def fit_whitening(patches, variance_fraction, patch_size=0, channels=0):
     whose rounding follows the BLAS thread count: at the paper shape the
     same patches keep the same components at 1 and at 2 threads, but the
     transform's bits differ, so a fit is reproducible bit for bit only at
-    the same thread count."""
+    the same thread count.
+
+    Beside `patches` the fit holds one centered copy while the covariance is
+    formed, then only D_raw x D_raw arrays."""
     X = np.asarray(patches, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError("whitening needs at least 2 patches")
@@ -104,7 +117,9 @@ def fit_whitening(patches, variance_fraction, patch_size=0, channels=0):
         raise ParameterError(f"variance_fraction must be in (0, 1], got {variance_fraction}")
     mean = X.mean(axis=0)
     Xc = X - mean
-    cov = Xc.T @ Xc / (X.shape[0] - 1)
+    cov = Xc.T @ Xc
+    del Xc
+    cov /= X.shape[0] - 1
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]

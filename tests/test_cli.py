@@ -1,10 +1,12 @@
 import argparse
+import ctypes
 import hashlib
 import os
 import signal
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,11 +15,13 @@ import pytest
 
 import mpkrbm
 import mpkrbm.trainer as trainer_module
-from mpkrbm import blas, pnm
+from mpkrbm import blas, cli, pnm
 from mpkrbm.cli import build_parser, main, max_workers
 from mpkrbm.config import RunConfig, load_run_config, parse_run_config, save_run_config
+from mpkrbm.container import read_container, write_container
 from mpkrbm.errors import ConfigError, ParameterError
 from mpkrbm.params import load_checkpoint
+from mpkrbm.preprocess import WhiteningTransform, extract_patches, fit_whitening
 
 
 def checksum(path):
@@ -148,6 +152,85 @@ def test_preprocess_deterministic_checksums(tmp_path):
     assert checksum(tmp_path / "out" / "patches.mpk") != first
 
 
+# `mpkrbm preprocess` of four seeded 40x40 colour images into 3000 8x8x3 patches
+# at seed 11, recorded before the command freed its intermediates: the SHA-256
+# of patches.mpk and of whitening.mpk, and the whitened dimensionality. At 192
+# raw dimensions the whitening fit rounds the same at one and at two BLAS
+# threads, so both digests hold at either count on REFERENCE_PLATFORM.
+PREPROCESS_REFERENCE = ("6dc0adb6c780331742466474cccd40399fd1fd1a8e3317275aac65197c441e9d",
+                        "c6c6ceb816b29b1fbb29cac45f079a26eeb0625a88be2e7b791bc515f1c23036", 44)
+REFERENCE_PLATFORM = ("2.4.6", b"SkylakeX")
+
+
+def test_preprocess_keeps_its_bytes(tmp_path):
+    path, _ = base_config(tmp_path, patch_size=8, n_patches=3000, variance_fraction=0.99)
+    write_images(tmp_path / "images", n=4)
+    assert main(["preprocess", "--config", str(path), "--seed", "11"]) == 0
+    patches_digest, whitening_digest, n_components = PREPROCESS_REFERENCE
+    if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
+        assert checksum(tmp_path / "out" / "patches.mpk") == patches_digest
+        assert checksum(tmp_path / "out" / "whitening.mpk") == whitening_digest
+    assert read_container(tmp_path / "out" / "patches.mpk")["patches"].shape == (3000, 192)
+    assert WhiteningTransform.load(tmp_path / "out" / "whitening.mpk").n_components == n_components
+
+
+def test_preprocess_keeps_only_the_first_n_patches(tmp_path):
+    # 2 patches from each of 8 images is 16 rows: the file holds the first 10,
+    # image k's patches in row block k, and the last three images add none
+    path, config = base_config(tmp_path, n_patches=10)
+    write_images(tmp_path / "images", n=8)
+    assert main(["preprocess", "--config", str(path)]) == 0
+    patches = read_container(tmp_path / "out" / "patches.mpk")["patches"]
+    assert patches.shape == (10, 6 * 6 * 3)
+    for k in range(5):
+        image = pnm.read_pnm(tmp_path / "images" / f"img{k}.ppm")
+        expected = extract_patches(image, 6, 2, config.data.seed + k)
+        np.testing.assert_array_equal(patches[2 * k:2 * k + 2], expected)
+
+
+def test_preprocess_peak_memory_is_two_patch_matrices(tmp_path):
+    # per-image chunks, their concatenation and the centered copy held at once
+    # made 3 patch matrices; the patches are now gathered straight into the
+    # matrix, and the centered copy dies once the covariance is formed
+    path, _ = base_config(tmp_path, patch_size=8, n_patches=20000)
+    write_images(tmp_path / "images", n=4)
+    matrix_bytes = 20000 * 192 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["preprocess", "--config", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * matrix_bytes, peak / matrix_bytes
+
+
+def test_train_holds_the_whitened_patches_only(tmp_path, monkeypatch):
+    path, _ = base_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    raw = np.random.default_rng(0).standard_normal((20000, 64))
+    write_container(tmp_path / "out" / "patches.mpk", {"patches": raw})
+    fit_whitening(raw, 1.0).save(tmp_path / "out" / "whitening.mpk")
+    matrix_bytes = raw.nbytes
+    del raw
+    held = []
+
+    def record(patches, *args, **kwargs):
+        assert patches.shape == (20000, 64)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return None, []
+
+    monkeypatch.setattr(cli, "train", record)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["train", "--config", str(path)]) == 0
+    finally:
+        tracemalloc.stop()
+    # the whitened matrix, and no raw one beside it
+    assert matrix_bytes <= held[0] - start < 1.5 * matrix_bytes, (held[0] - start) / matrix_bytes
+
+
 @pytest.mark.parametrize("command, section, key, value", [
     ("preprocess", "data", "patch_size", 0),
     ("preprocess", "data", "patch_size", -1),
@@ -223,7 +306,6 @@ def test_synth_writes_dataset_and_is_deterministic(tmp_path):
     assert main(["synth", "--config", str(path)]) == 0
     assert checksum(out) == first
 
-    from mpkrbm.container import read_container
     data = read_container(out)
     assert data["patches"].shape == (300, 36)
     assert data["ground_truth.pairs"].shape == (1, 2)
@@ -330,8 +412,6 @@ def test_train_on_a_container_without_its_tensor_exit_2(tmp_path, capsys, entry,
 
 @pytest.mark.parametrize("patches", [np.float64(1.0), np.zeros(6)])
 def test_train_on_patches_that_are_not_a_matrix_exit_2(tmp_path, capsys, patches):
-    from mpkrbm.container import write_container
-
     cfg_path, config = base_config(tmp_path)
     config.paths.patches = str(tmp_path / "flat.mpk")
     save_run_config(config, cfg_path)
@@ -509,7 +589,6 @@ def test_export_needs_two_components_for_pair_mosaics(tmp_path, capsys):
     write_images(tmp_path / "images")
     assert main(["preprocess", "--config", str(cfg_path)]) == 0
     from mpkrbm.params import init_params, save_checkpoint
-    from mpkrbm.preprocess import WhiteningTransform
     config.model.subspace_dim = 1
     n_visible = WhiteningTransform.load(tmp_path / "out" / "whitening.mpk").n_components
     save_checkpoint(init_params(config.model.shape_for(n_visible), seed=0), {},

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from mpkrbm.errors import DataError, ShapeError
 from mpkrbm.preprocess import (
     EPS_NORM,
+    GATHER_ELEMENTS,
     WhiteningTransform,
     extract_patches,
     fit_whitening,
@@ -50,14 +53,20 @@ def test_extract_window_content_matches_image():
 
 def test_extract_matches_per_patch_loop():
     rng = np.random.default_rng(3)
-    ps, count = 5, 40
-    for image in (rng.uniform(0, 255, size=(23, 31, 3)), rng.uniform(0, 255, size=(17, 12))):
+    ps = 5
+    images = (rng.uniform(0, 255, size=(23, 31, 3)), rng.uniform(0, 255, size=(17, 12)))
+    # the larger count takes several gathers, the last one partial
+    for image, count in itertools.product(images, (40, 3 * GATHER_ELEMENTS // 25 + 7)):
         img = image if image.ndim == 3 else image[:, :, None]
         offsets = np.random.default_rng(8)
         rows = offsets.integers(0, img.shape[0] - ps + 1, size=count)
         cols = offsets.integers(0, img.shape[1] - ps + 1, size=count)
         expected = np.array([img[r:r + ps, c:c + ps, :].reshape(-1) for r, c in zip(rows, cols)])
         assert extract_patches(image, ps, count, seed=8).tobytes() == expected.tobytes()
+        # into rows of a larger matrix, as the preprocess command gathers them
+        out = np.zeros((count + 2, expected.shape[1]))
+        extract_patches(image, ps, count, seed=8, out=out[1:-1])
+        assert out[1:-1].tobytes() == expected.tobytes() and not out[[0, -1]].any()
 
 
 def test_extract_image_too_small():
