@@ -5,7 +5,7 @@
       --resume checkpoint (default: a new model), for at most --iterations more iterations.
   check --seed --json: gradient, enumeration and sampler self-checks.
   sample --config --seed --resume --iterations --out: --iterations HMC simulations
-      (default 100) from the --resume checkpoint.
+      (default 100) from the --resume checkpoint, of the model its stage trains.
   synth --config --seed --out: a phase-coupled synthetic dataset.
   export --config --resume --out --what: the --what mosaics of the --resume checkpoint.
 
@@ -18,9 +18,15 @@ count (when numpy's BLAS is OpenBLAS) and `train --resume` warns when it
 differs. Likewise `preprocess` writes whitening.mpk bit for bit again only
 at the same BLAS thread count (`preprocess.fit_whitening`).
 
+`sample` runs the hidden families of the stage its checkpoint records: the
+mean and pooled subspace units in stages 0 and 1, the phase-coupling units
+as well from stage 2 on (and for a checkpoint that records no stage). HMC
+keeps the density its Metropolis test evaluates, so sampling a stage 0-1
+model with phase units would draw from another model than the one trained.
+
 Memory: `preprocess` holds the patch matrix, plus one centered copy while the
-whitening covariance is formed; `train` holds the whitened matrix only, the
-raw patches dying once whitened.
+whitening covariance is formed; `train` centers the raw patches in place and
+holds them beside the whitened matrix only while it is formed.
 
 Exit codes: 0 ok, 1 check failure, 2 data error or bad command line, 3 shape
 or parameter error, 4 missing dependency file. MPK_THREADS caps only the
@@ -140,14 +146,15 @@ def cmd_preprocess(args):
 def cmd_train(args):
     config = _load_config(args)
     patches_path = _existing(config.paths.run_file("patches"), "patch file")
-    # the raw patches die once whitened: only this name refers to them
+    # the raw patches are centered in place and die once whitened: only this
+    # name refers to them
     patches = container.read_container(patches_path).get("patches")
     if patches is None or patches.ndim != 2:
         raise DataError(f"{patches_path}: patch file holds no 2-D 'patches' tensor")
     whitening_path = config.paths.run_file("whitening")
     if Path(whitening_path).exists():     # present but not a regular file: MissingFileError
         whitening = WhiteningTransform.load(_existing(whitening_path, "whitening file"))
-        patches = whitening.apply(patches)
+        patches = whitening.apply(patches, overwrite=True)
     n_visible = patches.shape[1]
     if config.model.n_visible and config.model.n_visible != n_visible:
         raise ShapeError(
@@ -242,18 +249,28 @@ def _enumeration_gap(v, params):
 
 
 def cmd_sample(args):
+    """HMC samples of the model the checkpoint's stage trains: with the phase
+    units only where that stage's `phase_enabled` is set (stages 2-4), as HMC
+    samples the density whose F it is given. A checkpoint that records no
+    stage is sampled with every hidden family."""
     if not args.resume:
         raise MissingFileError("sample needs --resume CHECKPOINT")
     checkpoint_path = _existing(args.resume, "checkpoint")
     config = _load_config(args, required=False)
     params, opt = load_checkpoint(checkpoint_path)
+    stages = default_stages()
+    stage = opt.get("stage", len(stages) - 1)
+    if stage not in range(len(stages)):     # a float: 0.5 and NaN are not in it
+        raise DataError(f"{checkpoint_path}: recorded stage {stage:g} is not an integer in "
+                        f"0..{len(stages) - 1}")
+    with_phase = stages[int(stage)].phase_enabled
     rng = np.random.default_rng(config.hmc.seed)
     v = rng.standard_normal((64, params.C.shape[0])) * 0.1
     step = opt.get("step_size", config.hmc.step_size)
 
     print(HmcStats.csv_header())
-    chain, stats = hmc_chain(Chain.at(v, params), params, config.hmc, args.iterations,
-                             rng=rng, step_size=step)
+    chain, stats = hmc_chain(Chain.at(v, params, with_phase), params, config.hmc,
+                             args.iterations, rng=rng, step_size=step)
     for line in stats.csv_lines():
         print(line)
 
@@ -292,6 +309,9 @@ def cmd_export(args):
     whitening = WhiteningTransform.load(whitening_path)
     if whitening.patch_size == 0:
         raise DataError("whitening file carries no patch geometry")
+    if whitening.n_components != params.C.shape[0]:
+        raise ShapeError(f"whitening file has D={whitening.n_components} components but "
+                         f"checkpoint has D={params.C.shape[0]}")
 
     out_dir = _out_dir(args, config)
     what = args.what or config.export.what

@@ -65,8 +65,20 @@ class WhiteningTransform:
     def n_components(self):
         return self.forward.shape[0]
 
-    def apply(self, patches):
-        return (np.atleast_2d(patches) - self.mean) @ self.forward.T
+    def apply(self, patches, overwrite=False):
+        """The whitened rows of `patches` (N, D_raw). With `overwrite` the
+        rows are centered in place, so a caller that owns a float64 matrix
+        holds it and the result only, not a centered copy too; the result
+        has the same bits either way."""
+        patches = np.atleast_2d(patches)
+        if patches.shape[-1] != self.mean.shape[0]:
+            raise ShapeError(f"whitening file has raw dim {self.mean.shape[0]} but patches "
+                             f"have D={patches.shape[-1]}")
+        if overwrite:
+            patches -= self.mean
+        else:
+            patches = patches - self.mean
+        return patches @ self.forward.T
 
     def unapply(self, whitened):
         return np.atleast_2d(whitened) @ self.inverse.T + self.mean

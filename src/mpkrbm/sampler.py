@@ -121,7 +121,11 @@ class Chain:
 
     @classmethod
     def at(cls, rows, params, with_phase=True):
-        """A chain at `rows` (B, D)."""
+        """A chain at `rows` (B, D) of the model with the phase-coupling units
+        when `with_phase` (the default: every hidden family, the model of
+        training stages 2-4), else of the mean and pooled subspace units
+        alone (stages 0-1). Its F and every gradient `hmc_chain` takes follow
+        that choice, so it names the density the chain samples."""
         fw = _forward(rows, params, with_phase)
         _free_energy(fw, params)
         return cls(fw)

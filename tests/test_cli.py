@@ -217,7 +217,7 @@ def test_train_holds_the_whitened_patches_only(tmp_path, monkeypatch):
 
     def record(patches, *args, **kwargs):
         assert patches.shape == (20000, 64)
-        held.append(tracemalloc.get_traced_memory()[0])
+        held.extend(tracemalloc.get_traced_memory())
         return None, []
 
     monkeypatch.setattr(cli, "train", record)
@@ -227,8 +227,11 @@ def test_train_holds_the_whitened_patches_only(tmp_path, monkeypatch):
         assert main(["train", "--config", str(path)]) == 0
     finally:
         tracemalloc.stop()
+    now, peak = (n - start for n in held)
     # the whitened matrix, and no raw one beside it
-    assert matrix_bytes <= held[0] - start < 1.5 * matrix_bytes, (held[0] - start) / matrix_bytes
+    assert matrix_bytes <= now < 1.5 * matrix_bytes, now / matrix_bytes
+    # the raw matrix is centered in place: it and the whitened one at most
+    assert peak < 2.5 * matrix_bytes, peak / matrix_bytes
 
 
 @pytest.mark.parametrize("command, section, key, value", [
@@ -263,6 +266,10 @@ def test_non_positive_size_or_count_exit_3_and_write_nothing(tmp_path, capsys, c
      "[data] variance_fraction must be in (0, 1], got 2.0"),
     ("preprocess", ("data", "variance_fraction", 0.0),
      "[data] variance_fraction must be in (0, 1], got 0.0"),
+    ("train", ("paths", "whitening", "w8.mpk"),
+     "whitening file has raw dim 8 but patches have D=108"),
+    ("export", ("paths", "whitening", "w8.mpk"),
+     "whitening file has D=8 components but checkpoint has D=6"),
 ])
 def test_negative_seed_or_bad_variance_fraction_exit_3_and_write_nothing(tmp_path, capsys,
                                                                          command, setting,
@@ -271,12 +278,16 @@ def test_negative_seed_or_bad_variance_fraction_exit_3_and_write_nothing(tmp_pat
     write_images(tmp_path / "images")
     assert main(["preprocess", "--config", str(cfg_path)]) == 0
     argv = []
-    if command == "sample":
+    if command in ("sample", "export"):
         argv += ["--resume", str(save_tiny_checkpoint(tmp_path / "ck.mpk"))]
     if setting == "--seed":
         argv += ["--seed", "-1"]
     else:
         section, key, value = setting
+        if section == "paths":      # a whitening file of 8 raw dims and 8 components
+            value = str(tmp_path / value)
+            fit_whitening(np.random.default_rng(0).standard_normal((50, 8)), 1.0,
+                          patch_size=2, channels=2).save(value)
         setattr(getattr(config, section), key, value)
         save_run_config(config, cfg_path)
     if command != "check":
@@ -388,10 +399,12 @@ def test_resume_on_a_directory_exit_4(tmp_path, capsys, command):
     assert err.startswith("error:") and "adir" in err and err.count("\n") == 1
 
 
-def save_tiny_checkpoint(path, n_visible=6):
+def save_tiny_checkpoint(path, n_visible=6, state=None, params=None):
     from mpkrbm.params import ModelShape, init_params, save_checkpoint
 
-    save_checkpoint(init_params(ModelShape(n_visible, 2, 2, 2, 2, 2, 2), seed=0), {}, path)
+    if params is None:
+        params = init_params(ModelShape(n_visible, 2, 2, 2, 2, 2, 2), seed=0)
+    save_checkpoint(params, state, path)
     return path
 
 
@@ -556,6 +569,54 @@ def test_sample_command(tmp_path, capsys):
     assert out.startswith("step_size,rejection_rate,mean_delta_h")
     assert (tmp_path / "samples.mpk").exists()
     assert main(["sample", "--resume", str(tmp_path / "missing.mpk")]) == 4
+
+
+@pytest.mark.parametrize("stage, with_phase", [(0, False), (1, False), (2, True), (3, True),
+                                               (4, True), (None, True)])
+def test_sample_runs_the_hidden_families_of_the_recorded_stage(tmp_path, monkeypatch, stage,
+                                                               with_phase):
+    # stages 0-1 train the subspace model alone; no stage recorded: the whole model
+    seen = []
+
+    def record(chain, *args, **kwargs):
+        seen.append(chain.forward.with_phase)
+        return original(chain, *args, **kwargs)
+
+    original = cli.hmc_chain
+    monkeypatch.setattr(cli, "hmc_chain", record)
+    state = None if stage is None else {"stage": stage}
+    ck = save_tiny_checkpoint(tmp_path / "ck.mpk", state=state)
+    assert main(["sample", "--resume", str(ck), "--iterations", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert seen == [with_phase]
+
+
+def test_stage_0_samples_do_not_read_the_phase_units(tmp_path):
+    from dataclasses import replace
+
+    from mpkrbm.params import ModelShape, init_params
+
+    params = init_params(ModelShape(6, 2, 2, 2, 2, 2, 2), seed=0)
+    rng = np.random.default_rng(5)
+    other = replace(params, Q=rng.standard_normal(params.Q.shape),
+                    R=np.abs(rng.standard_normal(params.R.shape)),
+                    b_k=rng.standard_normal(params.b_k.shape))
+    digests = []
+    for name, p in (("a", params), ("b", other)):
+        ck = save_tiny_checkpoint(tmp_path / f"{name}.mpk", state={"stage": 0}, params=p)
+        assert main(["sample", "--resume", str(ck), "--iterations", "5",
+                     "--out", str(tmp_path / name)]) == 0
+        digests.append(checksum(tmp_path / name / "samples.mpk"))
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("stage", [7, -1, 0.5, float("nan")])
+def test_sample_from_an_unknown_stage_exit_2_and_write_nothing(tmp_path, capsys, stage):
+    ck = save_tiny_checkpoint(tmp_path / "ck.mpk", state={"stage": stage})
+    assert main(["sample", "--resume", str(ck), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "ck.mpk" in err[0] and f"stage {stage:g}" in err[0], err
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -101,6 +101,18 @@ def test_whitening_retains_requested_fraction():
     assert np.linalg.norm(cov - np.eye(wt.n_components)) < 1e-6
 
 
+@pytest.mark.parametrize("n, d", [(3000, 192), (2000, 64)])
+def test_whitening_in_place_keeps_the_bits(n, d):
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d)
+    wt = fit_whitening(X, 1.0)
+    copied = wt.apply(X)
+    Y = X.copy()
+    np.testing.assert_array_equal(wt.apply(Y, overwrite=True), copied)
+    np.testing.assert_array_equal(Y, X - wt.mean)      # centered in place
+    np.testing.assert_array_equal(copied, (X - wt.mean) @ wt.forward.T)
+
+
 def test_whitening_inverse_is_projection():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((500, 10)) * np.linspace(3, 0.1, 10)
