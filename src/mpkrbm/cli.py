@@ -24,6 +24,21 @@ as well from stage 2 on (and for a checkpoint that records no stage). HMC
 keeps the density its Metropolis test evaluates, so sampling a stage 0-1
 model with phase units would draw from another model than the one trained.
 
+`check` prints its records (`CHECKS`) with --json as {"checks": {name:
+record}, "passed"}, else one `name: ok|FAIL <record as JSON>` line each.
+`export` builds every mosaic before it writes one: an unknown target, one
+the checkpoint cannot show (C1, amplitude, phase or P at L = 1) or an
+[export] max_columns below 1 writes nothing.
+
+Run files are checked where they are loaded, before anything is written:
+`params.load_checkpoint` rejects a non-finite tensor, an alpha, L or opt.*
+entry that is not a finite scalar, alpha <= 0, an opt.iteration that is not
+a whole number >= 0 and an opt.step_size <= 0; `WhiteningTransform.load` a
+non-finite tensor, a scalar entry that is not rank 0 and mean, forward and
+inverse shapes that disagree. Each is a DataError naming the file and the
+entry. `preprocess` ends in a ParameterError when its patch matrix cannot be
+allocated, before the extraction pool starts.
+
 Memory: `preprocess` holds the patch matrix, plus one centered copy while the
 whitening covariance is formed; `train` centers the raw patches in place and
 holds them beside the whitened matrix only while it is formed.
@@ -47,12 +62,11 @@ import numpy as np
 
 from . import blas, container, pnm, synth, viz
 from .config import RunConfig, load_run_config
-from .energy import free_energy, total_energy
 from .errors import DataError, MissingFileError, MpkError, ParameterError, ShapeError
-from .grad import check_gradients, random_tiny_params
+from .grad import check_enumeration, check_gradients
 from .params import init_params, load_checkpoint
 from .preprocess import WhiteningTransform, extract_patches, fit_whitening
-from .sampler import Chain, HmcStats, gaussian_moment_probe, hmc_chain
+from .sampler import Chain, HmcStats, check_gaussian, hmc_chain
 from .trainer import default_stages, train
 
 
@@ -115,7 +129,13 @@ def _extract_all(data, data_dir):
     (channels,) = by_channels
 
     per_image = int(np.ceil(data.n_patches / len(images)))
-    patches = np.empty((len(images) * per_image, data.patch_size ** 2 * channels))
+    shape = (len(images) * per_image, data.patch_size ** 2 * channels)
+    try:
+        patches = np.empty(shape)
+    except (MemoryError, ValueError):   # ValueError: past numpy's index range
+        raise ParameterError(f"[data] n_patches = {data.n_patches} needs a {shape[0]} x "
+                             f"{shape[1]} patch matrix ({8 * shape[0] * shape[1]:.3g} bytes), "
+                             "which cannot be allocated") from None
 
     def pull(idx):
         extract_patches(pnm.read_pnm(images[idx]), data.patch_size, per_image, data.seed + idx,
@@ -189,63 +209,21 @@ def cmd_train(args):
     return 0
 
 
+# the self-checks of `check`, each a function of a seed that returns its record
+CHECKS = {"gradients": check_gradients, "free_energy_enumeration": check_enumeration,
+          "hmc_gaussian": check_gaussian}
+
+
 def cmd_check(args):
-    report = {"checks": {}, "passed": True}
-    seed = 0 if args.seed is None else args.seed
-
-    grad_report = check_gradients(seed=seed)
-    report["checks"]["gradients"] = {
-        "passed": grad_report.passed,
-        "max_rel_err": grad_report.max_rel_err,
-        "tolerance": grad_report.tolerance,
-    }
-
-    # free energy against exhaustive enumeration on a tiny model
-    rng = np.random.default_rng(1234 if args.seed is None else args.seed)
-    worst = 0.0
-    for trial in range(20):
-        params = random_tiny_params(trial + 1)
-        v = rng.standard_normal(params.C.shape[0])
-        worst = max(worst, _enumeration_gap(v, params))
-    report["checks"]["free_energy_enumeration"] = {
-        "passed": bool(worst < 1e-10), "max_abs_err": worst, "tolerance": 1e-10,
-    }
-
-    # HMC on the standard Gaussian reached when every parameter is zero
-    probe = gaussian_moment_probe(n_chains=200, burn=350, keep=60, seed=seed)
-    ok = (np.all(probe["mean_abs"] <= probe["mean_4se"])
-          and np.all(probe["var_abs_err"] <= probe["var_4se"])
-          and 0.0 <= probe["rejection_rate"] <= 0.35)
-    report["checks"]["hmc_gaussian"] = {
-        "passed": bool(ok),
-        "max_mean_err": float(probe["mean_abs"].max()),
-        "max_var_err": float(probe["var_abs_err"].max()),
-        "rejection_rate": probe["rejection_rate"],
-    }
-
-    report["passed"] = all(c["passed"] for c in report["checks"].values())
+    seed = {} if args.seed is None else {"seed": args.seed}
+    checks = {name: check(**seed) for name, check in CHECKS.items()}
+    passed = all(record["passed"] for record in checks.values())
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps({"checks": checks, "passed": passed}, indent=2))
     else:
-        for line in grad_report.lines():
-            print(line)
-        for name, result in report["checks"].items():
-            print(f"{name}: {'ok' if result['passed'] else 'FAIL'}")
-    return 0 if report["passed"] else 1
-
-
-def _enumeration_gap(v, params):
-    shape = params.shape
-    n_bits = shape.n_pool_hidden + shape.n_mean_hidden + shape.n_phase_hidden
-    states = np.array(np.meshgrid(*[[0.0, 1.0]] * n_bits, indexing="ij"))
-    states = states.reshape(n_bits, -1).T
-    h_p = states[:, :shape.n_pool_hidden]
-    h_m = states[:, shape.n_pool_hidden:shape.n_pool_hidden + shape.n_mean_hidden]
-    h_k = states[:, shape.n_pool_hidden + shape.n_mean_hidden:]
-    energies = total_energy(v, h_p, h_m, h_k, params)
-    emin = energies.min()
-    brute = emin - np.log(np.sum(np.exp(-(energies - emin))))
-    return abs(float(free_energy(v, params)) - float(brute))
+        for name, record in checks.items():
+            print(f"{name}: {'ok' if record['passed'] else 'FAIL'} {json.dumps(record)}")
+    return 0 if passed else 1
 
 
 def cmd_sample(args):
@@ -298,11 +276,9 @@ def cmd_synth(args):
     return 0
 
 
-EXPORT_TARGETS = ("C0", "C1", "W", "amplitude", "phase", "P", "Q", "R")
-
-
 def cmd_export(args):
     config = _load_config(args)
+    config.export.validate()
     checkpoint_path = _existing(args.resume or config.paths.run_file("checkpoint"), "checkpoint")
     whitening_path = _existing(config.paths.run_file("whitening"), "whitening file")
     params, _ = load_checkpoint(checkpoint_path)
@@ -313,26 +289,15 @@ def cmd_export(args):
         raise ShapeError(f"whitening file has D={whitening.n_components} components but "
                          f"checkpoint has D={params.C.shape[0]}")
 
-    out_dir = _out_dir(args, config)
+    # every mosaic is built before the first is written: a bad target writes nothing
     what = args.what or config.export.what
-    wanted = EXPORT_TARGETS if what == "all" else (what,)
-    color = whitening.channels == 3
-    max_cols = config.export.max_columns
-
-    for item in wanted:
-        if item in ("C0", "C1", "amplitude", "phase"):
-            kind = {"C0": "component0", "C1": "component1"}.get(item, item)
-            img = viz.mosaic(viz.subspace_tiles(params, whitening, kind=kind))
-        elif item == "W":
-            img = viz.mosaic(viz.pixel_tiles(params.W[:, :max_cols ** 2].T, whitening))
-        elif item in ("P", "Q", "R"):
-            rows = viz.group_tiles(params, whitening, item, max_columns=max_cols)
-            img = viz.rows_to_mosaic(rows)
-        else:
-            raise DataError(f"unknown export target {item!r}")
-        path = out_dir / f"filters_{item}.{'ppm' if color else 'pgm'}"
-        pnm.write_pnm(path, img)
-        print(f"{item} -> {path}")
+    mosaics = {target: viz.export_mosaic(target, params, whitening, config.export.max_columns)
+               for target in (viz.EXPORT_TARGETS if what == "all" else (what,))}
+    out_dir = _out_dir(args, config)
+    for target, image in mosaics.items():
+        path = out_dir / f"filters_{target}.{'ppm' if whitening.channels == 3 else 'pgm'}"
+        pnm.write_pnm(path, image)
+        print(f"{target} -> {path}")
     return 0
 
 
@@ -343,7 +308,7 @@ FLAGS = {
     "--iterations": dict(type=int, help="iterations (train) or HMC simulations (sample)"),
     "--out": dict(help="output directory (default: [paths] out_dir)"),
     "--json": dict(action="store_true", help="machine-readable output"),
-    "--what": dict(choices=("all",) + EXPORT_TARGETS,
+    "--what": dict(choices=("all",) + viz.EXPORT_TARGETS,
                    help="mosaics to write (default: [export] what)"),
 }
 

@@ -107,6 +107,9 @@ class ExportConfig:
     what: str = "all"
     max_columns: int = 32
 
+    def validate(self):
+        _require_positive("export", self, "max_columns")
+
 
 @dataclass
 class RunConfig:

@@ -35,7 +35,7 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 MAGIC = b"MPK1"
 VERSION = 1
@@ -132,3 +132,18 @@ def read_container(path):
             except UnicodeDecodeError:
                 raise FormatError(f"{path}: tensor name {name_bytes!r} is not UTF-8") from None
     return tensors
+
+
+def check_entries(path, tensors, arrays=(), scalars=()):
+    """A DataError, naming `path` and the entry, for the first of `scalars`
+    in `tensors` that is not a finite rank-0 tensor or of `arrays` that
+    holds a non-finite value: what a loader runs on the entries it reads."""
+    for name in scalars:
+        if tensors[name].ndim != 0:
+            raise DataError(f"{path}: {name} has shape {tensors[name].shape}, not a scalar")
+        if not np.isfinite(tensors[name]):
+            raise DataError(f"{path}: {name} {float(tensors[name]):g} is not finite")
+    for name in arrays:
+        bad = tensors[name].size - np.count_nonzero(np.isfinite(tensors[name]))
+        if bad:
+            raise DataError(f"{path}: tensor {name} holds {bad} non-finite values")

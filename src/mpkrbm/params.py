@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import container
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 LEARNABLE_TENSORS = ("C", "P", "W", "Q", "R", "b_c", "b_m", "b_k", "b_v")
 
@@ -183,27 +183,35 @@ def save_checkpoint(params, optimizer_state, path):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; validates tensor shape consistency."""
+    """Inverse of save_checkpoint. A DataError names the file and the entry
+    when a learnable tensor holds a non-finite value, when alpha, L or an
+    opt.* entry is not a finite scalar, or when alpha <= 0, opt.iteration
+    is not a whole number >= 0 or opt.step_size <= 0; tensor shapes that
+    disagree are a ShapeError."""
     tensors = container.read_container(path)
     missing = [n for n in LEARNABLE_TENSORS + ("alpha", "L") if n not in tensors]
     if missing:
         raise ShapeError(f"{path}: checkpoint missing tensors {missing}")
-    params = ModelParams(
-        **{name: tensors[name] for name in LEARNABLE_TENSORS},
-        alpha=float(tensors["alpha"]),
-    )
-    _check_consistent(params, path, int(tensors["L"]))
-    optimizer_state = {
-        name[len("opt."):]: float(value)
-        for name, value in tensors.items()
-        if name.startswith("opt.")
-    }
-    return params, optimizer_state
+    scalars = ["alpha", "L"] + [name for name in tensors if name.startswith("opt.")]
+    container.check_entries(path, tensors, arrays=LEARNABLE_TENSORS, scalars=scalars)
+    values = {name: float(tensors[name]) for name in scalars}
+    for name, ok, rule in (("alpha", lambda x: x > 0, "> 0"),
+                           ("opt.iteration", lambda x: x >= 0 and x % 1 == 0,
+                            "a whole number >= 0"),
+                           ("opt.step_size", lambda x: x > 0, "> 0")):
+        if name in values and not ok(values[name]):
+            raise DataError(f"{path}: {name} {values[name]:g} is not {rule}")
+    params = ModelParams(**{name: tensors[name] for name in LEARNABLE_TENSORS},
+                         alpha=values.pop("alpha"))
+    _check_consistent(params, path, values.pop("L"))
+    return params, {name[len("opt."):]: value for name, value in values.items()}
 
 
 def _check_consistent(params, path, header_L):
     if params.C.ndim != 3 or params.Q.ndim != 3:
         raise ShapeError(f"{path}: C and Q must be rank 3")
+    if {params.b_c.ndim, params.b_m.ndim, params.b_k.ndim} != {1}:
+        raise ShapeError(f"{path}: b_c, b_m and b_k must be rank 1")
     D, F, L = params.C.shape
     N, M, T = params.b_c.shape[0], params.b_m.shape[0], params.b_k.shape[0]
     G = params.Q.shape[2]
@@ -219,4 +227,4 @@ def _check_consistent(params, path, header_L):
         if actual != shape:
             raise ShapeError(f"{path}: tensor {name} has shape {actual}, expected {shape}")
     if L != header_L:
-        raise ShapeError(f"{path}: header L={header_L} but C has L={L}")
+        raise ShapeError(f"{path}: header L={header_L:g} but C has L={L}")

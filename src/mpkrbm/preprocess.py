@@ -95,14 +95,24 @@ class WhiteningTransform:
 
     @classmethod
     def load(cls, path):
+        """Inverse of save. A DataError names the file and the entry when a
+        tensor is missing or holds a non-finite value, when a scalar is not
+        rank 0, or when mean, forward and inverse do not have the agreeing
+        shapes (D_raw,), (D, D_raw) and (D_raw, D)."""
         t = container.read_container(path)
         missing = [n for n in ("mean", "forward", "inverse", "variance_fraction") if n not in t]
         if missing:
             raise DataError(f"{path}: whitening file missing tensors {missing}")
+        scalars = [n for n in ("variance_fraction", "patch_size", "channels") if n in t]
+        container.check_entries(path, t, arrays=("mean", "forward", "inverse"), scalars=scalars)
+        mean, forward, inverse = t["mean"], t["forward"], t["inverse"]
+        if mean.ndim != 1 or forward.shape[1:] != mean.shape or inverse.shape != forward.shape[::-1]:
+            raise DataError(f"{path}: whitening tensors mean {mean.shape}, forward {forward.shape} "
+                            f"and inverse {inverse.shape} are not (D_raw,), (D, D_raw), (D_raw, D)")
         return cls(
-            mean=t["mean"],
-            forward=t["forward"],
-            inverse=t["inverse"],
+            mean=mean,
+            forward=forward,
+            inverse=inverse,
             variance_fraction=float(t["variance_fraction"]),
             patch_size=int(t.get("patch_size", 0.0)),
             channels=int(t.get("channels", 0.0)),

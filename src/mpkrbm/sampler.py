@@ -263,3 +263,16 @@ def gaussian_moment_probe(n_chains=500, burn=400, keep=100, seed=0, dim=10,
         "rejection_rate": float(np.mean(rejections)),
         "step_size": step,
     }
+
+
+def check_gaussian(seed=0):
+    """The record {passed, max_mean_err, max_var_err, rejection_rate} of
+    `gaussian_moment_probe`: it passes when every mean and second moment is
+    within 4 SE of 0 and 1 and the rejection rate is in [0, 0.35]."""
+    probe = gaussian_moment_probe(n_chains=200, burn=350, keep=60, seed=seed)
+    ok = (np.all(probe["mean_abs"] <= probe["mean_4se"])
+          and np.all(probe["var_abs_err"] <= probe["var_4se"])
+          and 0.0 <= probe["rejection_rate"] <= 0.35)
+    return {"passed": bool(ok), "max_mean_err": float(probe["mean_abs"].max()),
+            "max_var_err": float(probe["var_abs_err"].max()),
+            "rejection_rate": probe["rejection_rate"]}

@@ -8,7 +8,7 @@ with per-tile min-max scaling.
 import numpy as np
 
 from .energy import phase_coupling_matrix
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 GAP = 1              # mosaic pixels between tiles and around the grid
 GAP_VALUE = 128.0    # gray level of those pixels
@@ -54,17 +54,17 @@ def mosaic(tiles, n_columns=None):
 
 
 def subspace_tiles(params, whitening, kind="amplitude"):
-    """One tile per subspace: either filter component, the per-pixel pair
+    """One tile per subspace: filter component C0 or C1, the per-pixel pair
     amplitude sqrt(c1^2 + c2^2), or the pair angle on a cyclic gray map.
-    Every kind but component0 needs a second component (L >= 2)."""
+    Every kind but C0 needs a second component (L >= 2)."""
     D, F, L = params.C.shape
-    if L < 2 and kind != "component0":
+    if L < 2 and kind != "C0":
         raise ShapeError(f"{kind} tiles need subspace dimension L >= 2, got L={L}")
     flat = pixel_tiles(params.C.reshape(D, F * L).T, whitening)
     c = flat.reshape((F, L) + flat.shape[1:])
-    if kind == "component0":
+    if kind == "C0":
         tiles = c[:, 0]
-    elif kind == "component1":
+    elif kind == "C1":
         tiles = c[:, 1]
     elif kind == "amplitude":
         tiles = np.sqrt(c[:, 0] ** 2 + c[:, 1] ** 2)
@@ -147,3 +147,20 @@ def rows_to_mosaic(rows):
     """Lay out per-column tile rows as one mosaic (one row per column)."""
     flat = [tile for row in rows for tile in row]
     return mosaic(flat, n_columns=max(len(r) for r in rows))
+
+
+# the mosaics `mpkrbm export` writes, one file each
+EXPORT_TARGETS = ("C0", "C1", "W", "amplitude", "phase", "P", "Q", "R")
+
+
+def export_mosaic(target, params, whitening, max_columns):
+    """The mosaic of export `target`: its subspace tiles, the first
+    max_columns**2 W filters, or `group_tiles` rows for P, Q and R. An
+    unknown target is a DataError; one that needs L >= 2 a ShapeError."""
+    if target not in EXPORT_TARGETS:
+        raise DataError(f"unknown export target {target!r}")
+    if target in ("P", "Q", "R"):
+        return rows_to_mosaic(group_tiles(params, whitening, target, max_columns=max_columns))
+    if target == "W":
+        return mosaic(pixel_tiles(params.W[:, :max_columns ** 2].T, whitening))
+    return mosaic(subspace_tiles(params, whitening, kind=target))

@@ -542,6 +542,17 @@ def test_check_json(tmp_path, capsys):
     assert set(report["checks"]) == {"gradients", "free_energy_enumeration", "hmc_gaussian"}
 
 
+def test_check_text_prints_one_line_per_record(monkeypatch, capsys):
+    records = {"gradients": {"passed": True, "max_rel_err": {"v": 1e-9}, "tolerance": 1e-5},
+               "hmc_gaussian": {"passed": False, "rejection_rate": 0.5}}
+    monkeypatch.setattr(cli, "CHECKS", {name: lambda seed=0, record=record: record
+                                        for name, record in records.items()})
+    assert main(["check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'gradients: ok {"passed": true, "max_rel_err": {"v": 1e-09}, "tolerance": 1e-05}',
+        'hmc_gaussian: FAIL {"passed": false, "rejection_rate": 0.5}']
+
+
 def test_check_detects_injected_bug(monkeypatch, capsys):
     import mpkrbm.grad as grad_module
 
@@ -619,6 +630,77 @@ def test_sample_from_an_unknown_stage_exit_2_and_write_nothing(tmp_path, capsys,
     assert not (tmp_path / "s").exists()
 
 
+def tiny_patches_config(tmp_path, whitening=None):
+    """A config whose run files are 16 random 6-pixel patches and, when
+    given, a whitening file; its output directory does not exist yet."""
+    config = RunConfig()
+    config.paths.patches = str(tmp_path / "patches.mpk")
+    config.paths.out_dir = str(tmp_path / "out")
+    config.paths.whitening = whitening or ""
+    for key in ("n_subspaces", "n_pool_hidden", "n_mean_hidden", "n_phase_factors",
+                "n_phase_hidden"):
+        setattr(config.model, key, 2)
+    config.trainer.batch_size = 8
+    write_container(config.paths.patches,
+                    {"patches": np.random.default_rng(0).standard_normal((16, 6))})
+    save_run_config(config, tmp_path / "tiny.cfg")
+    return tmp_path / "tiny.cfg"
+
+
+@pytest.mark.parametrize("command, entry, value, code", [
+    ("sample", "opt.stage", [1.0, 2.0], 2),
+    ("sample", "alpha", [2.0, 2.0], 2),
+    ("sample", "alpha", 0.0, 2),
+    ("sample", "L", float("nan"), 2),
+    ("sample", "opt.step_size", float("nan"), 2),
+    ("sample", "opt.step_size", 0.0, 2),
+    ("sample", "P", float("nan"), 2),
+    ("sample", "b_c", 2.0, 3),
+    ("train", "opt.iteration", float("nan"), 2),
+    ("train", "opt.iteration", -5.0, 2),
+    ("train", "opt.iteration", 2.5, 2),
+])
+def test_bad_checkpoint_entry_exit_and_write_nothing(tmp_path, capsys, command, entry, value,
+                                                     code):
+    # P: every entry of the tensor; b_c: a scalar where a vector belongs
+    ck = save_tiny_checkpoint(tmp_path / "ck.mpk",
+                              state={"iteration": 3, "stage": 2, "step_size": 0.05})
+    tensors = read_container(ck)
+    tensors[entry] = np.full_like(tensors[entry], value) if entry == "P" else np.array(value)
+    write_container(ck, tensors)
+    argv = [command, "--resume", str(ck), "--out", str(tmp_path / "out"), "--iterations", "1"]
+    if command == "train":
+        argv += ["--config", str(tiny_patches_config(tmp_path))]
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "ck.mpk" in err[0] and entry in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry, change", [
+    ("forward", lambda t: np.full_like(t, np.nan)),
+    ("inverse", lambda t: np.full_like(t, np.inf)),
+    ("variance_fraction", lambda t: np.array([0.9, 0.9])),
+    ("patch_size", lambda t: np.array([2.0, 2.0])),
+    ("mean", lambda t: t[None]),
+    ("forward", lambda t: t[..., None]),
+    ("inverse", lambda t: t.T),
+], ids=["forward-nan", "inverse-inf", "variance_fraction-vector", "patch_size-vector",
+        "mean-rank-2", "forward-rank-3", "inverse-transposed"])
+def test_bad_whitening_entry_exit_2_and_write_nothing(tmp_path, capsys, entry, change):
+    w = tmp_path / "w.mpk"
+    patches = np.random.default_rng(1).standard_normal((50, 6))
+    fit_whitening(patches, 0.9, patch_size=1, channels=6).save(w)
+    tensors = read_container(w)
+    tensors[entry] = change(tensors[entry])
+    write_container(w, tensors)
+    cfg = tiny_patches_config(tmp_path, whitening=str(w))
+    assert main(["train", "--config", str(cfg), "--iterations", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "w.mpk" in err[0] and entry in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("hmc", "n_leapfrog", 0),
     ("model", "subspace_dim", 1),
@@ -655,11 +737,40 @@ def test_export_needs_two_components_for_pair_mosaics(tmp_path, capsys):
     save_checkpoint(init_params(config.model.shape_for(n_visible), seed=0), {},
                     tmp_path / "out" / "checkpoint.mpk")
     assert main(["export", "--config", str(cfg_path), "--what", "C0"]) == 0
+    (tmp_path / "out" / "filters_C0.ppm").unlink()
     for what in ("C1", "amplitude", "phase", "P", "all"):
         capsys.readouterr()
         assert main(["export", "--config", str(cfg_path), "--what", what]) == 3, what
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "L=1" in err[0], err
+        assert not list((tmp_path / "out").glob("filters_*")), what
+
+
+@pytest.mark.parametrize("max_columns", [0, -1])
+def test_export_max_columns_below_1_exit_3_and_write_nothing(tmp_path, capsys, max_columns):
+    cfg_path, config = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    n_visible = WhiteningTransform.load(tmp_path / "out" / "whitening.mpk").n_components
+    ck = save_tiny_checkpoint(tmp_path / "ck.mpk", n_visible=n_visible)
+    config.export.max_columns = max_columns
+    save_run_config(config, cfg_path)
+    capsys.readouterr()
+    assert main(["export", "--config", str(cfg_path), "--resume", str(ck)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [export] max_columns must be >= 1, got {max_columns}"]
+    assert not list((tmp_path / "out").glob("filters_*"))
+
+
+def test_preprocess_patch_matrix_too_large_to_allocate_exit_3(tmp_path, capsys):
+    # 10**15 rows of 16 pixels: 128 PB, which numpy refuses at once
+    cfg_path, config = base_config(tmp_path, patch_size=4, n_patches=10 ** 15)
+    write_images(tmp_path / "images", n=2, channels=1)
+    assert main(["preprocess", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "n_patches = 1000000000000000" in err[0], err
+    assert "1000000000000000 x 16" in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 # Every flag and the commands that read it: a command accepts exactly these.

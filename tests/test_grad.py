@@ -136,8 +136,8 @@ def test_grad_without_phase_zeroes_phase_tensors():
 
 def test_check_gradients_default_passes():
     report = check_gradients(seed=0)
-    assert report.passed
-    assert all(err < 1e-5 for err in report.max_rel_err.values())
+    assert report["passed"]
+    assert all(err < 1e-5 for err in report["max_rel_err"].values())
 
 
 def test_check_gradients_detects_broken_gradient(monkeypatch):
@@ -146,19 +146,19 @@ def test_check_gradients_detects_broken_gradient(monkeypatch):
 
     monkeypatch.setattr(grad, "grad_free_energy_v", broken)
     report = check_gradients(seed=0)
-    assert not report.passed
-    assert report.max_rel_err["v"] > 1e-5
+    assert not report["passed"]
+    assert report["max_rel_err"]["v"] > 1e-5
 
 
 def test_check_gradients_zero_tolerance_fails():
     report = check_gradients(seed=0, tolerance=0.0)
-    assert not report.passed
+    assert not report["passed"]
 
 
 def test_check_gradients_many_seeds():
     for seed in range(10):
         report = check_gradients(seed=seed, n_vectors=3, batch_size=2)
-        assert report.passed, (seed, report.max_rel_err)
+        assert report["passed"], (seed, report["max_rel_err"])
 
 
 def test_grad_v_continuous_near_zero():

@@ -28,7 +28,7 @@ def test_delta_filters_give_single_bright_pixels():
     for f in range(2):
         for l in range(2):
             params.C[5 * f + 3 * l, f, l] = 1.0
-    tiles = subspace_tiles(params, wt, kind="component0")
+    tiles = subspace_tiles(params, wt, kind="C0")
     for tile in tiles:
         flat = np.sort(tile.reshape(-1))
         assert flat[-1] > 0.99 and flat[-2] < 1e-9
@@ -58,7 +58,7 @@ def test_component1_and_phase_tiles_on_delta_filters():
     ps = 3
     params = delta_params(ModelShape(ps * ps, 3, 2, 2, 2, 2, 2))
     wt = identity_whitening(ps)
-    for f, tile in enumerate(subspace_tiles(params, wt, kind="component1")):
+    for f, tile in enumerate(subspace_tiles(params, wt, kind="C1")):
         expected = np.zeros(ps * ps)
         expected[2 * f + 1] = 1.0
         assert np.array_equal(tile.reshape(-1), expected)
