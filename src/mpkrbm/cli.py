@@ -35,9 +35,13 @@ Run files are checked where they are loaded, before anything is written:
 entry that is not a finite scalar, alpha <= 0, an opt.iteration that is not
 a whole number >= 0 and an opt.step_size <= 0; `WhiteningTransform.load` a
 non-finite tensor, a scalar entry that is not rank 0 and mean, forward and
-inverse shapes that disagree. Each is a DataError naming the file and the
+inverse shapes that disagree; `train` a patch file whose `patches` tensor
+is not a matrix or holds a non-finite value (`container.check_entries`,
+which scans it in blocks). Each is a DataError naming the file and the
 entry. `preprocess` ends in a ParameterError when its patch matrix cannot be
-allocated, before the extraction pool starts.
+allocated or is larger than the machine's physical memory (where
+`os.sysconf` reports it: numpy would map such a matrix lazily and fail
+only while filling it), before the extraction pool starts.
 
 Memory: `preprocess` holds the patch matrix, plus one centered copy while the
 whitening covariance is formed; `train` centers the raw patches in place and
@@ -85,6 +89,16 @@ def max_workers():
     return min(n, value)
 
 
+def physical_memory():
+    """The machine's physical memory in bytes, or None where `os.sysconf`
+    does not report it."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):   # no sysconf, or not these names
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
 def _load_config(args, required=True):
     """The run configuration of --config (the defaults where the command may
     run without one), with --seed set in the command's own config section."""
@@ -130,7 +144,10 @@ def _extract_all(data, data_dir):
 
     per_image = int(np.ceil(data.n_patches / len(images)))
     shape = (len(images) * per_image, data.patch_size ** 2 * channels)
+    memory = physical_memory()
     try:
+        if memory is not None and 8 * shape[0] * shape[1] > memory:
+            raise MemoryError   # numpy would map it lazily; the machine could not back it
         patches = np.empty(shape)
     except (MemoryError, ValueError):   # ValueError: past numpy's index range
         raise ParameterError(f"[data] n_patches = {data.n_patches} needs a {shape[0]} x "
@@ -171,6 +188,7 @@ def cmd_train(args):
     patches = container.read_container(patches_path).get("patches")
     if patches is None or patches.ndim != 2:
         raise DataError(f"{patches_path}: patch file holds no 2-D 'patches' tensor")
+    container.check_entries(patches_path, {"patches": patches}, arrays=("patches",))
     whitening_path = config.paths.run_file("whitening")
     if Path(whitening_path).exists():     # present but not a regular file: MissingFileError
         whitening = WhiteningTransform.load(_existing(whitening_path, "whitening file"))

@@ -134,16 +134,24 @@ def read_container(path):
     return tensors
 
 
+_SCAN_BLOCK = 1 << 16     # entries an array is scanned by: a 64 KB mask at any size
+
+
 def check_entries(path, tensors, arrays=(), scalars=()):
     """A DataError, naming `path` and the entry, for the first of `scalars`
     in `tensors` that is not a finite rank-0 tensor or of `arrays` that
-    holds a non-finite value: what a loader runs on the entries it reads."""
+    holds a non-finite value: what a loader runs on the entries it reads.
+    An array is scanned in blocks of its flat view (a view of the
+    contiguous arrays `read_container` returns), so no temporary grows with
+    the tensor."""
     for name in scalars:
         if tensors[name].ndim != 0:
             raise DataError(f"{path}: {name} has shape {tensors[name].shape}, not a scalar")
         if not np.isfinite(tensors[name]):
             raise DataError(f"{path}: {name} {float(tensors[name]):g} is not finite")
     for name in arrays:
-        bad = tensors[name].size - np.count_nonzero(np.isfinite(tensors[name]))
-        if bad:
-            raise DataError(f"{path}: tensor {name} holds {bad} non-finite values")
+        flat = tensors[name].reshape(-1)
+        finite = sum(np.count_nonzero(np.isfinite(flat[start:start + _SCAN_BLOCK]))
+                     for start in range(0, flat.size, _SCAN_BLOCK))
+        if finite < flat.size:
+            raise DataError(f"{path}: tensor {name} holds {flat.size - finite} non-finite values")

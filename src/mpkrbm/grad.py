@@ -12,8 +12,10 @@ intermediates of the one forward in `energy` (`energy._forward`). F is
 computed on request (`energy._free_energy`) from the same forward:
 `grad_free_energy_v`, what the leapfrog takes, skips it. The parameter
 gradient has one entry, `grad_params_from_forward`, which runs the
-backward from a forward with F that the caller already has and carries
-the per-row F of its batch: CD-1 passes it the forwards HMC's Metropolis
+backward from a forward with F that the caller already has and returns
+{name: gradient} in `LEARNABLE_TENSORS` order, the mapping of
+`ModelParams.tensors()`. F is not in it: it stays the forward's `f`,
+where CD-1 reads it. CD-1 passes that entry the forwards HMC's Metropolis
 test computed, at the data and at the model rows.
 `grad_free_energy_params` is rows -> forward with F -> that entry. At
 alpha = 2 the backward takes d s / d y = y / s, which equals
@@ -21,31 +23,12 @@ sign(y) |y| / s bit for bit but for the sign of a zero y; any other alpha
 takes (|y| / s)**(alpha - 1) sign(y).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import energy
 from .errors import DataError
 from .params import LEARNABLE_TENSORS, ModelShape, init_params
 from .preprocess import EPS_NORM
-
-
-@dataclass
-class ParamGradient:
-    """One gradient tensor per learnable ModelParams field, plus the
-    per-row free energy of the batch (`f_rows`, not a gradient)."""
-
-    C: np.ndarray
-    P: np.ndarray
-    W: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    b_c: np.ndarray
-    b_m: np.ndarray
-    b_k: np.ndarray
-    b_v: np.ndarray
-    f_rows: np.ndarray = None
 
 
 def _backward(fw, params):
@@ -132,11 +115,11 @@ def grad_free_energy_params(v_batch, params, with_phase=True):
 
 
 def grad_params_from_forward(fw, params):
-    """Mean over batch rows of dF/dTheta for every learnable tensor, with
-    the per-row F of the batch in `f_rows` (the forward's own `f`), from a
-    float64 forward (`energy._forward`) whose F `energy._free_energy` has
-    computed. The backward's intermediates are added to `fw`; the forward's
-    arrays are only read.
+    """{name: mean over batch rows of dF/dTheta} for every learnable tensor,
+    in `LEARNABLE_TENSORS` order, from a float64 forward (`energy._forward`)
+    whose F `energy._free_energy` has computed; the per-row F of the batch
+    is that forward's `fw.f`. The backward's intermediates are added to
+    `fw`; the forward's arrays are only read.
 
     Tensors of the phase family come back zero when the forward ran
     without the phase units. A non-finite drive or visible term raises
@@ -152,20 +135,18 @@ def grad_params_from_forward(fw, params):
                      b_k=-fw.sig_k.mean(axis=0))
     else:
         phase = {name: np.zeros_like(getattr(params, name)) for name in ("Q", "R", "b_k")}
-    g = ParamGradient(
+    g = dict(
         C=(fw.U.T @ fw.dy.reshape(B, F * L)).reshape(D, F, L),
         P=-0.5 * fw.s.T @ fw.sig_p,
         W=-fw.V.T @ fw.sig_m,
         b_c=-fw.sig_p.mean(axis=0),
         b_m=-fw.sig_m.mean(axis=0),
         b_v=-fw.V.mean(axis=0),
-        f_rows=fw.f,
         **phase,
     )
     for name in ("C", "P", "W", "Q", "R"):      # sums over the rows, made means in place
-        product = getattr(g, name)
-        product /= B
-    return g
+        g[name] /= B
+    return {name: g[name] for name in LEARNABLE_TENSORS}
 
 
 # --- finite-difference verification -------------------------------------
@@ -244,8 +225,7 @@ def check_gradients(shape=None, seed=0, tolerance=1e-5, n_vectors=10,
     batch = rng.standard_normal((batch_size, D))
     analytic = grad_free_energy_params(batch, params)
     for name in LEARNABLE_TENSORS:
-        errors[name] = _rel_err(getattr(analytic, name),
-                                finite_diff_param(batch, params, name, step=step))
+        errors[name] = _rel_err(analytic[name], finite_diff_param(batch, params, name, step=step))
     return {"passed": all(err < tolerance for err in errors.values()),
             "max_rel_err": errors, "tolerance": tolerance}
 

@@ -121,8 +121,9 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     the proposal's, with each rejected row taken from the data's, which is
     what a forward of the model rows would compute, bit for bit. Both
     parameter gradients run their backward passes from these two forwards
-    (`grad.grad_params_from_forward`), and f_data and f_model are the means
-    of their F. The data's Chain carries no dF/dv, so an iteration of K
+    (`grad.grad_params_from_forward`, {name: gradient}), and f_data and
+    f_model are the means of their F (`fw.f`), taken before each forward
+    is freed. The data's Chain carries no dF/dv, so an iteration of K
     leapfrog steps runs K + 1 float32 forwards and 2 float64 ones, 23 at
     the default K = 20.
 
@@ -135,18 +136,18 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     data = Chain.at(batch, params, with_phase)
     model, stats = hmc_chain(data, params, hmc_config, 1, rng=rng, step_size=step_size)
 
-    g_data = grad_params_from_forward(data.forward, params)
+    g_data, f_data = grad_params_from_forward(data.forward, params), data.forward.f
     del data                    # each forward is freed once its pass is done
-    g_model = grad_params_from_forward(model.forward, params)
+    g_model, f_model = grad_params_from_forward(model.forward, params), model.forward.f
     del model
 
     updates, norms = {}, {}
     for name in LEARNABLE_TENSORS:     # in the arrays of the two passes
-        diff = getattr(g_model, name)
-        diff -= getattr(g_data, name)
+        diff = g_model[name]
+        diff -= g_data[name]
         norms[name] = float(np.sqrt(np.sum(diff * diff)))
         if name in trainable:
-            proposed = np.multiply(diff, config.lr_for(name), out=getattr(g_data, name))
+            proposed = np.multiply(diff, config.lr_for(name), out=g_data[name])
             proposed += getattr(params, name)
             if not np.all(np.isfinite(proposed)):
                 raise NumericError(f"cd1_step: non-finite update for tensor {name}")
@@ -155,7 +156,7 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     new_params = project_constraints(replace(params, **updates))
     metrics = StepMetrics(
         iteration=iteration, stage=stage,
-        f_data=float(np.mean(g_data.f_rows)), f_model=float(np.mean(g_model.f_rows)),
+        f_data=float(np.mean(f_data)), f_model=float(np.mean(f_model)),
         rejection_rate=stats.rejection_rate, step_size=stats.current_step_size,
         divergences=stats.divergences, mean_delta_h=stats.mean_delta_h, grad_norms=norms)
     return new_params, stats.current_step_size, metrics

@@ -94,7 +94,7 @@ def test_c02_gradient_correctness():
         analytic = grad_free_energy_params(batch, params)
         for name in LEARNABLE_TENSORS:
             fd = finite_diff_param(batch, params, name)
-            a = getattr(analytic, name)
+            a = analytic[name]
             denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-8)
             worst[name] = max(worst.get(name, 0.0), float(np.max(np.abs(a - fd) / denom)))
     elapsed = time.time() - t0

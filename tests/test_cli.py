@@ -773,6 +773,43 @@ def test_preprocess_patch_matrix_too_large_to_allocate_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_preprocess_patch_matrix_larger_than_memory_exit_3(tmp_path, capsys, monkeypatch):
+    # 16384 rows of 16 pixels: 2 MiB, which numpy would allocate, against a
+    # machine reported to hold 1 MiB
+    cfg_path, config = base_config(tmp_path, patch_size=4, n_patches=16384)
+    write_images(tmp_path / "images", n=2, channels=1)
+    assert cli.physical_memory() > 2 ** 21
+    monkeypatch.setattr(cli, "physical_memory", lambda: 2 ** 20)
+    assert main(["preprocess", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "n_patches = 16384" in err[0], err
+    assert "16384 x 16" in err[0] and "2.1e+06 bytes" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_on_constant_images_exit_2_and_write_nothing(tmp_path, capsys):
+    cfg_path, config = base_config(tmp_path)
+    (tmp_path / "images").mkdir()
+    for i in range(2):
+        pnm.write_pnm(tmp_path / "images" / f"flat{i}.ppm", np.full((40, 40, 3), 128.0))
+    assert main(["preprocess", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "zero variance" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_on_patches_with_a_nan_exit_2_and_write_nothing(tmp_path, capsys):
+    cfg_path = tiny_patches_config(tmp_path)
+    patches_path = tmp_path / "patches.mpk"
+    patches = read_container(patches_path)["patches"]
+    patches[5, 2] = np.nan
+    write_container(patches_path, {"patches": patches})
+    assert main(["train", "--config", str(cfg_path), "--iterations", "4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "patches.mpk" in err[0] and "1 non-finite" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 # Every flag and the commands that read it: a command accepts exactly these.
 READS = {
     "--config": {"preprocess", "train", "sample", "synth", "export"},

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from mpkrbm.container import MAGIC, read_container, write_container
-from mpkrbm.errors import FormatError
+from mpkrbm.container import MAGIC, check_entries, read_container, write_container
+from mpkrbm.errors import DataError, FormatError
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -177,3 +178,19 @@ def test_hand_built_records_read_back(tmp_path):
                                 _record(b"b", (0, 5))))
     back = read_container(path)
     assert back["a"].tolist() == [1.0, -2.0] and back["b"].shape == (0, 5)
+
+
+def test_check_entries_scans_an_array_in_blocks():
+    # 20000 x 192 float64 (30.7 MB): the scan's temporaries stay below 2% of
+    # it, and every non-finite entry is counted, the last one included
+    patches = np.random.default_rng(0).standard_normal((20000, 192))
+    check_entries("p.mpk", {"patches": patches}, arrays=("patches",))
+    patches[0, 0], patches[7777, 5], patches[-1, -1] = np.nan, np.inf, -np.inf
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=r"p\.mpk: tensor patches holds 3 non-finite"):
+            check_entries("p.mpk", {"patches": patches}, arrays=("patches",))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.02 * patches.nbytes, peak

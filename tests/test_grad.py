@@ -65,7 +65,7 @@ def test_grad_params_match_finite_differences():
     analytic = grad_free_energy_params(batch, params)
     for name in LEARNABLE_TENSORS:
         fd = finite_diff_param(batch, params, name)
-        assert rel_err(getattr(analytic, name), fd) < 1e-5, name
+        assert rel_err(analytic[name], fd) < 1e-5, name
 
 
 def test_grad_params_alpha_three():
@@ -75,7 +75,7 @@ def test_grad_params_alpha_three():
     analytic = grad_free_energy_params(batch, params)
     for name in ("C", "P", "b_c"):
         fd = finite_diff_param(batch, params, name)
-        assert rel_err(getattr(analytic, name), fd) < 1e-5, name
+        assert rel_err(analytic[name], fd) < 1e-5, name
     v = rng.standard_normal(4)
     assert rel_err(grad_free_energy_v(v, params), finite_diff_v(v, params)) < 1e-5
 
@@ -87,7 +87,7 @@ def test_grad_bc_equals_negative_conditional():
     batch = np.random.default_rng(11).standard_normal((5, 4))
     g = grad_free_energy_params(batch, params)
     probs = np.array([hidden_conditionals(v, params).p_hp for v in batch])
-    assert np.allclose(g.b_c, -probs.mean(axis=0), atol=1e-12)
+    assert np.allclose(g["b_c"], -probs.mean(axis=0), atol=1e-12)
 
 
 def test_grad_duplicate_row_equals_singleton():
@@ -96,7 +96,7 @@ def test_grad_duplicate_row_equals_singleton():
     single = grad_free_energy_params(v[None, :], params)
     doubled = grad_free_energy_params(np.stack([v, v]), params)
     for name in LEARNABLE_TENSORS:
-        assert np.allclose(getattr(single, name), getattr(doubled, name), atol=1e-12)
+        assert np.allclose(single[name], doubled[name], atol=1e-12)
 
 
 def test_grad_batch_is_mean_of_rows():
@@ -105,8 +105,8 @@ def test_grad_batch_is_mean_of_rows():
     batch = grad_free_energy_params(V, params)
     rows = [grad_free_energy_params(v[None, :], params) for v in V]
     for name in LEARNABLE_TENSORS:
-        mean = np.mean([getattr(r, name) for r in rows], axis=0)
-        assert np.allclose(getattr(batch, name), mean, atol=1e-12)
+        mean = np.mean([r[name] for r in rows], axis=0)
+        assert np.allclose(batch[name], mean, atol=1e-12)
 
 
 def test_grad_empty_batch_rejected():
@@ -127,11 +127,11 @@ def test_grad_without_phase_zeroes_phase_tensors():
     params = random_tiny_params(17)
     batch = np.random.default_rng(18).standard_normal((3, 4))
     g = grad_free_energy_params(batch, params, with_phase=False)
-    assert not np.any(g.Q) and not np.any(g.R) and not np.any(g.b_k)
+    assert not np.any(g["Q"]) and not np.any(g["R"]) and not np.any(g["b_k"])
     # and the remaining tensors still check out against the phase-free F
     for name in ("C", "P", "W", "b_c", "b_m", "b_v"):
         fd = finite_diff_param(batch, params, name, with_phase=False)
-        assert rel_err(getattr(g, name), fd) < 1e-5, name
+        assert rel_err(g[name], fd) < 1e-5, name
 
 
 def test_check_gradients_default_passes():
@@ -198,14 +198,14 @@ def test_calls_return_arrays_of_their_own(with_phase):
         assert np.array_equal(g, grad_free_energy_v(V, params, with_phase=with_phase))
 
     p1 = grad_free_energy_params(V1, params, with_phase=with_phase)
-    kept = {name: getattr(p1, name).copy() for name in LEARNABLE_TENSORS + ("f_rows",)}
+    kept = {name: p1[name].copy() for name in LEARNABLE_TENSORS}
     p2 = grad_free_energy_params(V2, params, with_phase=with_phase)
     for name, value in kept.items():
-        assert np.array_equal(getattr(p1, name), value), name
+        assert np.array_equal(p1[name], value), name
     for got, V in ((p1, V1), (p2, V2)):
         fresh = grad_free_energy_params(V, params, with_phase=with_phase)
         for name in kept:
-            assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
+            assert np.array_equal(got[name], fresh[name]), name
 
 
 PAPER_SHAPE = ModelShape(200, 256, 2, 256, 100, 256, 256)
@@ -241,8 +241,8 @@ def test_float64_forward_keeps_its_bits(alpha, with_phase):
 
 # grad_free_energy_params on the same model and rows, recorded before the
 # leapfrog gradient stopped computing F: the digest of the bytes of the nine
-# gradients in LEARNABLE_TENSORS order and then f_rows, the sum of f_rows,
-# and the sum of the absolute values of the nine gradients, on the platform
+# gradients in LEARNABLE_TENSORS order and then the per-row F, the sum of
+# that F, and the sum of the absolute values of the nine gradients, on the platform
 # and at the thread counts of FLOAT64_REFERENCE.
 PARAMS_REFERENCE = {
     (2.0, True): ("b3893e7f04923896", "-0x1.e2d4005466680p+18", "0x1.01988cab8fe11p+20"),
@@ -255,13 +255,13 @@ PARAMS_REFERENCE = {
 def test_float64_param_gradients_keep_their_bits(alpha, with_phase):
     params = init_params(PAPER_SHAPE, 3, alpha=alpha)
     v = np.random.default_rng(4).standard_normal((128, 200))
-    g = grad_free_energy_params(v, params, with_phase=with_phase)
-    grads = [getattr(g, name) for name in LEARNABLE_TENSORS]
+    grads = list(grad_free_energy_params(v, params, with_phase=with_phase).values())
+    f = free_energy(v, params, with_phase=with_phase)
     digest, f_sum, abs_sum = PARAMS_REFERENCE[alpha, with_phase]
     if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
-        data = b"".join(a.tobytes() for a in grads + [g.f_rows])
+        data = b"".join(a.tobytes() for a in grads + [f])
         assert hashlib.sha256(data).hexdigest()[:16] == digest
-    assert g.f_rows.sum() == pytest.approx(float.fromhex(f_sum), rel=1e-9)
+    assert f.sum() == pytest.approx(float.fromhex(f_sum), rel=1e-9)
     assert sum(np.abs(a).sum() for a in grads) == pytest.approx(float.fromhex(abs_sum),
                                                                 rel=1e-9)
 
@@ -286,9 +286,9 @@ def test_float32_grad_v_is_close_to_float64(seed, alpha, with_phase):
 # are negative, as on a trained model (at init they are all >= 0 there);
 # the mean drive is mixed already (26% >= 0). Recorded before the sigmoid
 # gates went branch-free: the digest of the bytes of the float32 dF/dv, the
-# nine float64 gradients in LEARNABLE_TENSORS order, f_rows and the three
-# hidden conditionals; then, as exact floats, the sums of |float32 dF/dv|,
-# of f_rows, of the nine |gradients| and of the conditionals. Same platform
+# nine float64 gradients in LEARNABLE_TENSORS order, the per-row F and the
+# three hidden conditionals; then, as exact floats, the sums of |float32
+# dF/dv|, of F, of the nine |gradients| and of the conditionals. Same platform
 # and thread counts as FLOAT64_REFERENCE.
 MIXED_SIGN_REFERENCE = ("018b30d31b37a922", "0x1.111d4cba64c70p+20", "-0x1.3414970b5c863p+18",
                         "0x1.60974fc8222f8p+19", "0x1.1f5a87a597a6dp+15")
@@ -305,17 +305,17 @@ def test_mixed_sign_gates_keep_their_bits():
         assert 0.2 < np.mean(drive >= 0) < 0.8
 
     g32 = grad_free_energy_v(v, params.astype(np.float32))
-    g = grad_free_energy_params(v, params)
-    grads = [getattr(g, name) for name in LEARNABLE_TENSORS]
+    grads = list(grad_free_energy_params(v, params).values())
+    f = free_energy(v, params)
     h = hidden_conditionals(v, params)
     gates = [h.p_hp, h.p_hm, h.p_hk]
     digest, g32_sum, f_sum, abs_sum, gate_sum = MIXED_SIGN_REFERENCE
     if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
-        data = b"".join(a.tobytes() for a in [g32] + grads + [g.f_rows] + gates)
+        data = b"".join(a.tobytes() for a in [g32] + grads + [f] + gates)
         assert hashlib.sha256(data).hexdigest()[:16] == digest
     # elsewhere other kernels round differently, float32 ones the most
     assert np.abs(g32).sum(dtype=np.float64) == pytest.approx(float.fromhex(g32_sum), rel=1e-5)
-    assert g.f_rows.sum() == pytest.approx(float.fromhex(f_sum), rel=1e-9)
+    assert f.sum() == pytest.approx(float.fromhex(f_sum), rel=1e-9)
     assert sum(np.abs(a).sum() for a in grads) == pytest.approx(float.fromhex(abs_sum),
                                                                 rel=1e-9)
     assert sum(a.sum() for a in gates) == pytest.approx(float.fromhex(gate_sum), rel=1e-9)
