@@ -166,9 +166,13 @@ def _extract_all(data, data_dir):
 def cmd_preprocess(args):
     config = _load_config(args)
     config.data.validate()
-    patches, channels = _extract_all(config.data, Path(config.paths.data_dir))
-    whitening = fit_whitening(patches, config.data.variance_fraction,
-                              patch_size=config.data.patch_size, channels=channels)
+    data_dir = Path(config.paths.data_dir)
+    patches, channels = _extract_all(config.data, data_dir)
+    try:
+        whitening = fit_whitening(patches, config.data.variance_fraction,
+                                  patch_size=config.data.patch_size, channels=channels)
+    except DataError as err:
+        raise DataError(f"{data_dir}: {err}") from None
 
     out_dir = _out_dir(args, config)
     patches_path = config.paths.run_file("patches", out_dir)

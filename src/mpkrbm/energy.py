@@ -37,6 +37,15 @@ sign runs numpy's inner loop once per run of equal signs. The float32
 dF/dv, the float64 parameter-gradient backward and `hidden_conditionals`
 all take this one helper.
 
+The four products with P and R, the pooling and phase drives and their
+transposes in `grad._backward`, are written `a @ params.P` and the like:
+np.matmul for an ndarray, and a scaling by the diagonal for a `Diagonal`,
+which `sampler.hmc_chain` makes of a banded P or R (-I and I at the paper
+shape; training stage 0 holds P there, stages 0-2 hold R) in its float32
+copy.
+For finite rows the scaling gives BLAS's bits, since every other term of
+the product is a * 0 = +-0.
+
 At alpha = 2, the paper's case, |y|**2 is y*y bit for bit, so the pooled
 amplitude s = sqrt(sum y^2) and the phase amplitude r = sqrt(sum y^2 +
 eps^2) share one sum of squares; any other alpha raises |y| to its power.
@@ -48,7 +57,8 @@ where nothing reads it any more.
 All public operations are pure functions of (v, params); v may be a single
 vector (D,) or rows with any leading shape (..., D). They run in the dtype
 of the params: float64 everywhere but the HMC trajectory, whose gradients
-`sampler.hmc_chain` takes from a float32 copy.
+`sampler.hmc_chain` takes from a float32 copy, the one place a `Diagonal`
+stands in for P or R.
 """
 
 from dataclasses import dataclass
@@ -118,6 +128,48 @@ def _per_plane(op, a, b, out=None):
     return out
 
 
+class Diagonal:
+    """A matrix whose nonzeros all lie on its leading diagonal, as the right
+    operand of `@`: `a @ d` is a[..., :k] * diagonal (k = min(rows, cols)),
+    padded with zeros to the matrix's columns, one elementwise pass where
+    BLAS would run a full product; `d.T` is the transpose. P and R take
+    this form at their banded pattern with rows <= cols (-I and I at the
+    paper shape), where training stages 0 (P) and 0-2 (R) hold them, so
+    each float32 dF/dv of those stages skips two 256 x 256 products.
+
+    The bits are BLAS's for finite rows: each entry of the product is one
+    rounded a * d plus terms a * 0 = +-0, which move no nonzero sum. Only
+    the sign of a zero entry may differ, and an inf in a row spreads NaN
+    across it in BLAS alone (HMC rejects such a row either way)."""
+
+    __array_ufunc__ = None      # `ndarray @ Diagonal` defers to __rmatmul__
+
+    def __init__(self, diagonal, shape):
+        self.diagonal, self.shape = diagonal, shape
+
+    @classmethod
+    def of(cls, M):
+        """M as a Diagonal, or M itself if any nonzero lies off its diagonal."""
+        diagonal = np.diagonal(M)
+        if np.count_nonzero(M) != np.count_nonzero(diagonal):
+            return M
+        return cls(diagonal.copy(), M.shape)
+
+    @property
+    def T(self):
+        return Diagonal(self.diagonal, self.shape[::-1])
+
+    def __rmatmul__(self, a):
+        if a.shape[-1] != self.shape[0]:
+            raise ShapeError(f"matmul of {a.shape} by a {self.shape} matrix")
+        k = len(self.diagonal)
+        if self.shape[1] == k:
+            return np.multiply(a[..., :k], self.diagonal)
+        out = np.zeros(a.shape[:-1] + self.shape[1:], np.result_type(a, self.diagonal))
+        np.multiply(a[..., :k], self.diagonal, out=out[..., :k])
+        return out
+
+
 def _forward(v, params, with_phase=True, normalize=True):
     """Every intermediate of F at the rows of v, flattened to (B, D).
 
@@ -156,7 +208,7 @@ def _forward(v, params, with_phase=True, normalize=True):
             pow_y **= params.alpha
             fw.s = _sum_last(pow_y)
             fw.s **= 1.0 / params.alpha
-        fw.phi = np.matmul(np.multiply(fw.s, 0.5), params.P)
+        fw.phi = np.multiply(fw.s, 0.5) @ params.P
         fw.phi += params.b_c
         fw.m = np.matmul(V, params.W)
         fw.m += params.b_m
@@ -170,7 +222,7 @@ def _forward(v, params, with_phase=True, normalize=True):
             fw.q = np.matmul(fw.x.reshape(B, F * L), params.Q.reshape(F * L, G))
             half_q2 = np.multiply(fw.q, fw.q)
             half_q2 *= 0.5
-            fw.psi = np.matmul(half_q2, params.R)
+            fw.psi = half_q2 @ params.R
             fw.psi += params.b_k
             fw.e_k = _exp_neg_abs(fw.psi)
     return fw

@@ -42,7 +42,7 @@ def _backward(fw, params):
     B, F, L = fw.Y.shape
     fw.sig_p = energy._sigmoid(fw.phi, fw.e_p)
     fw.sig_m = energy._sigmoid(fw.m, fw.e_m)
-    g_s = np.matmul(np.multiply(fw.sig_p, -0.5), params.P.T)
+    g_s = np.multiply(fw.sig_p, -0.5) @ params.P.T
     # d s_f / d y_fl = (|y|/s)^(alpha-1) * sign(y); zero subspaces contribute 0
     zero = np.greater(fw.s, 0.0)
     np.logical_not(zero, out=zero)      # NaN included
@@ -61,7 +61,7 @@ def _backward(fw, params):
     energy._per_plane(np.multiply, dy, g_s, dy)
     if fw.with_phase:
         fw.sig_k = energy._sigmoid(fw.psi, fw.e_k)
-        fw.g_q = np.matmul(fw.sig_k, params.R.T)    # (B, G)
+        fw.g_q = fw.sig_k @ params.R.T    # (B, G)
         np.negative(fw.g_q, out=fw.g_q)
         fw.g_q *= fw.q
         g_x = np.matmul(fw.g_q, params.Q.reshape(F * L, -1).T).reshape(B, F, L)

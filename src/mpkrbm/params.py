@@ -15,8 +15,9 @@ The model family is parameterized by
 plus the pooling exponent alpha; L is C.shape[2]. The parameters are
 float64: training, checkpoints and samples all hold float64 tensors. The
 one float32 copy is `astype(np.float32)`, which `sampler.hmc_chain` makes
-once per call for its leapfrog gradients. ModelParams is treated as an
-immutable value between updates.
+once per call for its leapfrog gradients; in that copy alone a diagonal P
+or R becomes an `energy.Diagonal`, whose products scale by the diagonal.
+ModelParams is treated as an immutable value between updates.
 """
 
 import warnings
@@ -94,7 +95,9 @@ class ModelParams:
 
 def banded_identity(rows, cols, sign=1.0):
     """Banded identity pattern: entry `sign` where col == row mod cols,
-    columns rescaled to unit L2-norm. Reduces to sign*I when rows == cols."""
+    columns rescaled to unit L2-norm. Reduces to sign*I when rows == cols,
+    and is diagonal whenever rows <= cols (the last cols - rows columns
+    are zero), which `energy.Diagonal.of` detects."""
     out = np.zeros((rows, cols))
     out[np.arange(rows), np.arange(rows) % cols] = sign
     norms = np.linalg.norm(out, axis=0)

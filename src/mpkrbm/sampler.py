@@ -13,7 +13,12 @@ what leaves the target invariant, whatever gradient drove the map (Neal
 2011, "MCMC using Hamiltonian dynamics", section 5.5). So `hmc_chain`
 takes every leapfrog gradient from a float32 copy of the params, made
 once per call, through `grad.grad_free_energy_v`, which computes dF/dv
-alone and no F, and casts it back to float64; v and p stay float64.
+alone and no F, and casts it back to float64; v and p stay float64. In
+that copy a P or R whose nonzeros all lie on the diagonal (the banded
+pattern that stage 0 holds P at and stages 0-2 hold R at, -I and I at the
+paper shape) is an `energy.Diagonal`, so its two products per gradient
+are one elementwise scaling each, with BLAS's bits (the other terms of
+each sum are zeros).
 `leapfrog` takes the gradient at its start point and returns the one at
 its end point, so a simulation of K steps computes K gradients, each at a
 new position. H at the start and end points comes from a float64 F, the
@@ -41,7 +46,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .energy import _forward, _free_energy
+from .energy import Diagonal, _forward, _free_energy
 from .errors import ParameterError
 from .grad import grad_free_energy_v
 
@@ -150,7 +155,11 @@ def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
 
     `chain` itself stays intact. n simulations of K leapfrog steps run n*K
     float32 gradient-only forwards and n float64 forwards with F, plus one
-    float32 forward for a chain without dF/dv (one from `Chain.at`).
+    float32 forward for a chain without dF/dv (one from `Chain.at`). The
+    float32 copy of the params, private to the call, holds P and R as
+    `energy.Diagonal`s where they are diagonal: the gradients multiply by
+    their diagonals, bit for bit the BLAS products. The float64 forwards
+    keep np.matmul.
     """
     config.validate()
     rng = np.random.default_rng(config.seed) if rng is None else rng
@@ -160,6 +169,7 @@ def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
     fw, grad = chain.forward, chain.grad
     del chain       # the start forward dies once the first simulation replaces it
     params32 = params.astype(np.float32)
+    params32.P, params32.R = Diagonal.of(params32.P), Diagonal.of(params32.R)
     with_phase = fw.with_phase
 
     def gradient(x):

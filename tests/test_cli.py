@@ -795,6 +795,7 @@ def test_preprocess_on_constant_images_exit_2_and_write_nothing(tmp_path, capsys
     assert main(["preprocess", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "zero variance" in err[0], err
+    assert str(tmp_path / "images") in err[0], err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpkrbm import energy
 from mpkrbm.energy import (
     EPS_R,
+    Diagonal,
     free_energy,
     hidden_conditionals,
     phase_coupling_matrix,
@@ -18,8 +19,8 @@ from mpkrbm.energy import (
     total_energy,
 )
 from mpkrbm.errors import NumericError, ParameterError, ShapeError
-from mpkrbm.grad import TINY_SHAPE, random_tiny_params
-from mpkrbm.params import ModelShape, init_params
+from mpkrbm.grad import TINY_SHAPE, grad_free_energy_v, random_tiny_params
+from mpkrbm.params import ModelShape, banded_pattern, init_params
 from mpkrbm.preprocess import normalize_visible
 
 
@@ -408,3 +409,56 @@ def test_scale_invariance_of_pooled_term(tiny):
     f2 = free_energy(v2, tiny) - 0.5 * np.sum(v2 * v2)
     # remaining terms (pool + phase + mean-with-W=0) are scale invariant
     assert np.isclose(f1, f2, atol=1e-9)
+
+
+# --- the diagonal operand of P and R ---------------------------------------
+
+def rows_with_zeros(n_cols, dtype):
+    """Random rows in `dtype` with exact zeros: scattered entries, one whole
+    column and one whole row."""
+    rng = np.random.default_rng(n_cols)
+    a = rng.standard_normal((7, n_cols))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    a[:, 1] = 0.0
+    a[3] = 0.0
+    return a.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name, shape", [("P", (6, 6)), ("P", (4, 6)), ("R", (5, 5))])
+def test_diagonal_products_equal_matmul(name, shape, dtype):
+    M = banded_pattern(name, shape).astype(dtype)
+    d = Diagonal.of(M)
+    assert isinstance(d, Diagonal)
+    for d_op, M_op in ((d, M), (d.T, M.T)):
+        a = rows_with_zeros(M_op.shape[0], dtype)
+        got = a @ d_op
+        assert got.dtype == dtype and got.shape == (7, M_op.shape[1])
+        assert np.array_equal(got, np.matmul(a, M_op))
+    with pytest.raises(ShapeError):
+        np.ones((2, shape[0] + 1), dtype) @ d
+
+
+def test_diagonal_of_keeps_a_matrix_with_an_off_diagonal_nonzero():
+    banded = banded_pattern("P", (6, 4))     # rows 0 and 4 both land in column 0
+    assert Diagonal.of(banded) is banded
+    almost = -np.eye(5)
+    almost[3, 1] = -0.5
+    assert Diagonal.of(almost) is almost
+
+
+PAPER_SHAPE = ModelShape(200, 256, 2, 256, 100, 256, 256)
+
+
+@pytest.mark.parametrize("with_phase", [True, False])
+def test_float32_grad_v_with_diagonal_p_and_r_keeps_its_bytes(with_phase):
+    # the float32 copy that sampler.hmc_chain runs its leapfrog on
+    params32 = init_params(PAPER_SHAPE, 3).astype(np.float32)
+    diagonal32 = params32.copy()
+    diagonal32.P, diagonal32.R = Diagonal.of(params32.P), Diagonal.of(params32.R)
+    assert isinstance(diagonal32.P, Diagonal) and isinstance(diagonal32.R, Diagonal)
+    v = np.random.default_rng(4).standard_normal((128, 200))
+    expected = grad_free_energy_v(v, params32, with_phase=with_phase)
+    got = grad_free_energy_v(v, diagonal32, with_phase=with_phase)
+    assert got.dtype == np.float32
+    assert got.tobytes() == expected.tobytes()
