@@ -45,7 +45,13 @@ only while filling it), before the extraction pool starts.
 
 Memory: `preprocess` holds the patch matrix, plus one centered copy while the
 whitening covariance is formed; `train` centers the raw patches in place and
-holds them beside the whitened matrix only while it is formed.
+holds them beside the whitened matrix only while it is formed. `sample`
+holds one float64 copy of the tensors its chain reads and the float32 copy
+`sampler.hmc_chain` takes its gradients from, with a banded P or R as its
+diagonal (`energy.Diagonal`) in both: for a stage 0-1 checkpoint, C, P, W
+and the biases b_c, b_m and b_v, with no phase family
+(`ModelParams.without_phase`), dropped once `load_checkpoint` has checked
+it; for a stage 2-4 checkpoint, or one that records no stage, every tensor.
 
 Exit codes: 0 ok, 1 check failure, 2 data error or bad command line, 3 shape
 or parameter error, 4 missing dependency file. MPK_THREADS caps only the
@@ -66,6 +72,7 @@ import numpy as np
 
 from . import blas, container, pnm, synth, viz
 from .config import RunConfig, load_run_config
+from .energy import Diagonal
 from .errors import DataError, MissingFileError, MpkError, ParameterError, ShapeError
 from .grad import check_enumeration, check_gradients
 from .params import init_params, load_checkpoint
@@ -264,6 +271,9 @@ def cmd_sample(args):
         raise DataError(f"{checkpoint_path}: recorded stage {stage:g} is not an integer in "
                         f"0..{len(stages) - 1}")
     with_phase = stages[int(stage)].phase_enabled
+    if not with_phase:      # the chain reads no phase tensor: hold none
+        params = params.without_phase()
+    params.P, params.R = Diagonal.of(params.P), Diagonal.of(params.R)
     rng = np.random.default_rng(config.hmc.seed)
     v = rng.standard_normal((64, params.C.shape[0])) * 0.1
     step = opt.get("step_size", config.hmc.step_size)

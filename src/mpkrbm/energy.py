@@ -40,11 +40,11 @@ all take this one helper.
 The four products with P and R, the pooling and phase drives and their
 transposes in `grad._backward`, are written `a @ params.P` and the like:
 np.matmul for an ndarray, and a scaling by the diagonal for a `Diagonal`,
-which `sampler.hmc_chain` makes of a banded P or R (-I and I at the paper
-shape; training stage 0 holds P there, stages 0-2 hold R) in its float32
-copy.
-For finite rows the scaling gives BLAS's bits, since every other term of
-the product is a * 0 = +-0.
+which two callers make of a banded P or R (-I and I at the paper shape;
+training stage 0 holds P there, stages 0-2 hold R): `sampler.hmc_chain`
+in its float32 copy, and `cli.cmd_sample` in the float64 params whose
+forwards give the Metropolis test its F. For finite rows the scaling
+gives BLAS's bits, since every other term of the product is a * 0 = +-0.
 
 At alpha = 2, the paper's case, |y|**2 is y*y bit for bit, so the pooled
 amplitude s = sqrt(sum y^2) and the phase amplitude r = sqrt(sum y^2 +
@@ -57,8 +57,10 @@ where nothing reads it any more.
 All public operations are pure functions of (v, params); v may be a single
 vector (D,) or rows with any leading shape (..., D). They run in the dtype
 of the params: float64 everywhere but the HMC trajectory, whose gradients
-`sampler.hmc_chain` takes from a float32 copy, the one place a `Diagonal`
-stands in for P or R.
+`sampler.hmc_chain` takes from a float32 copy. The two places a `Diagonal`
+stands in for P or R are that copy and the float64 params of `cli.cmd_sample`.
+A forward without the phase units reads no phase tensor, so it runs on
+`params.ModelParams.without_phase()` as on the whole model.
 """
 
 from dataclasses import dataclass
@@ -135,7 +137,9 @@ class Diagonal:
     BLAS would run a full product; `d.T` is the transpose. P and R take
     this form at their banded pattern with rows <= cols (-I and I at the
     paper shape), where training stages 0 (P) and 0-2 (R) hold them, so
-    each float32 dF/dv of those stages skips two 256 x 256 products.
+    each float32 dF/dv of those stages skips two 256 x 256 products, and
+    each float64 forward of `mpkrbm sample` skips one or two and holds no
+    dense copy.
 
     The bits are BLAS's for finite rows: each entry of the product is one
     rounded a * d plus terms a * 0 = +-0, which move no nonzero sum. Only
@@ -149,7 +153,10 @@ class Diagonal:
 
     @classmethod
     def of(cls, M):
-        """M as a Diagonal, or M itself if any nonzero lies off its diagonal."""
+        """M as a Diagonal, or M itself if it is one or if any nonzero lies
+        off its diagonal."""
+        if isinstance(M, Diagonal):
+            return M
         diagonal = np.diagonal(M)
         if np.count_nonzero(M) != np.count_nonzero(diagonal):
             return M
@@ -158,6 +165,11 @@ class Diagonal:
     @property
     def T(self):
         return Diagonal(self.diagonal, self.shape[::-1])
+
+    def astype(self, dtype):
+        """The same matrix with its diagonal cast to `dtype`, as
+        `ModelParams.astype` casts every tensor."""
+        return Diagonal(self.diagonal.astype(dtype), self.shape)
 
     def __rmatmul__(self, a):
         if a.shape[-1] != self.shape[0]:

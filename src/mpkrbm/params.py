@@ -15,9 +15,13 @@ The model family is parameterized by
 plus the pooling exponent alpha; L is C.shape[2]. The parameters are
 float64: training, checkpoints and samples all hold float64 tensors. The
 one float32 copy is `astype(np.float32)`, which `sampler.hmc_chain` makes
-once per call for its leapfrog gradients; in that copy alone a diagonal P
-or R becomes an `energy.Diagonal`, whose products scale by the diagonal.
-ModelParams is treated as an immutable value between updates.
+once per call for its leapfrog gradients. A diagonal P or R becomes an
+`energy.Diagonal`, whose products scale by the diagonal, in two places:
+that float32 copy, and the float64 params `cli.cmd_sample` holds.
+`without_phase()` is the model of training stages 0-1 with an empty phase
+family, G = T = 0, which a phase-off chain (`cmd_sample` of a stage 0-1
+checkpoint, and that float32 copy of a phase-off chain) holds in place of
+Q, R and b_k. ModelParams is treated as an immutable value between updates.
 """
 
 import warnings
@@ -33,7 +37,9 @@ LEARNABLE_TENSORS = ("C", "P", "W", "Q", "R", "b_c", "b_m", "b_k", "b_v")
 
 @dataclass(frozen=True)
 class ModelShape:
-    """Structural hyperparameters: all dimensions strictly positive."""
+    """Structural hyperparameters: all dimensions strictly positive. G = T
+    = 0 is the phase-free model of `ModelParams.without_phase`, made only
+    there, never validated and never saved."""
 
     n_visible: int          # D
     n_subspaces: int        # F
@@ -85,6 +91,15 @@ class ModelParams:
     def astype(self, dtype):
         """A copy with every tensor cast to `dtype`; alpha stays a float."""
         return replace(self, **{n: t.astype(dtype) for n, t in self.tensors().items()})
+
+    def without_phase(self):
+        """The model of training stages 0-1, whose phase-off forward and
+        gradients never read the phase family: these params with an empty
+        one, Q (F, L, 0), R (0, 0) and b_k (0,), in the dtype of C. The
+        other tensors are shared, not copied."""
+        F, L, dtype = self.C.shape[1], self.C.shape[2], self.C.dtype
+        return replace(self, Q=np.zeros((F, L, 0), dtype), R=np.zeros((0, 0), dtype),
+                       b_k=np.zeros(0, dtype))
 
     def tensors(self):
         return {name: getattr(self, name) for name in LEARNABLE_TENSORS}

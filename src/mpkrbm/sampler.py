@@ -18,7 +18,10 @@ that copy a P or R whose nonzeros all lie on the diagonal (the banded
 pattern that stage 0 holds P at and stages 0-2 hold R at, -I and I at the
 paper shape) is an `energy.Diagonal`, so its two products per gradient
 are one elementwise scaling each, with BLAS's bits (the other terms of
-each sum are zeros).
+each sum are zeros). A phase-off chain's copy is made from
+`params.without_phase()`: it casts no Q, R or b_k, which it never reads.
+The float64 params are the caller's; `cli.cmd_sample` passes them with P
+and R as `Diagonal`s already, where the copy keeps them.
 `leapfrog` takes the gradient at its start point and returns the one at
 its end point, so a simulation of K steps computes K gradients, each at a
 new position. H at the start and end points comes from a float64 F, the
@@ -158,8 +161,9 @@ def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
     float32 forward for a chain without dF/dv (one from `Chain.at`). The
     float32 copy of the params, private to the call, holds P and R as
     `energy.Diagonal`s where they are diagonal: the gradients multiply by
-    their diagonals, bit for bit the BLAS products. The float64 forwards
-    keep np.matmul.
+    their diagonals, bit for bit the BLAS products. Without the phase units
+    it holds an empty phase family (`ModelParams.without_phase`). The
+    float64 forwards run on `params` as given.
     """
     config.validate()
     rng = np.random.default_rng(config.seed) if rng is None else rng
@@ -168,9 +172,9 @@ def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
 
     fw, grad = chain.forward, chain.grad
     del chain       # the start forward dies once the first simulation replaces it
-    params32 = params.astype(np.float32)
-    params32.P, params32.R = Diagonal.of(params32.P), Diagonal.of(params32.R)
     with_phase = fw.with_phase
+    params32 = (params if with_phase else params.without_phase()).astype(np.float32)
+    params32.P, params32.R = Diagonal.of(params32.P), Diagonal.of(params32.R)
 
     def gradient(x):
         return grad_free_energy_v(x, params32, with_phase=with_phase).astype(np.float64)

@@ -201,8 +201,10 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
     the minibatch stream and per-iteration RNGs are derived from the
     config seed and the global iteration index, so a resumed run matches
     an uninterrupted one exactly. The whole run is checked before any file
-    is written; a run from iteration 0 starts a new metrics file, a resumed
-    one appends to it.
+    is written, a resume past the schedule's end included; a run from
+    iteration 0 starts a new metrics file, a resumed one appends to it. The
+    final checkpoint records the stage of the run's last iteration, or
+    stage 0 for an empty schedule, also when no iteration is left to run.
     """
     hmc_config = hmc_config or HmcConfig()
     if initial_params is None:
@@ -221,6 +223,9 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
     cycler = PatchCycler(patches, config.batch_size, config.seed)
     boundaries = np.cumsum([s.iterations for s in stages])
     total = int(boundaries[-1])
+    if start_iteration > total:     # its checkpoint would be rewritten at `total`
+        raise ParameterError(f"the run resumes at iteration {start_iteration}, past the end "
+                             f"of its {total}-iteration schedule")
     if max_iterations is not None:
         total = min(total, start_iteration + max_iterations)
 
@@ -231,8 +236,8 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
 
     history = []
     consecutive_failures = 0
-    stage_idx = int(np.searchsorted(boundaries, start_iteration, side="right")) \
-        if start_iteration < boundaries[-1] else len(stages) - 1
+    # the stage a run that stops at `total` ends in: that of iteration total - 1
+    stage_idx = int(np.searchsorted(boundaries, total - 1, side="right")) if total else 0
     try:
         for it in range(start_iteration, total):
             stage_idx = int(np.searchsorted(boundaries, it, side="right"))

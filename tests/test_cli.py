@@ -621,6 +621,62 @@ def test_stage_0_samples_do_not_read_the_phase_units(tmp_path):
     assert digests[0] == digests[1]
 
 
+PAPER_SHAPE = (200, 256, 2, 256, 100, 256, 256)
+
+# `mpkrbm sample --iterations 10 --seed 6` of init_params(PAPER_SHAPE, 3) recorded
+# as stage 0 at step 0.01, 64 chains without the phase units, recorded while the
+# command still held the phase family: the SHA-256 of samples.mpk, the samples'
+# sum as an exact float and the rejection rate of each simulation. The digest
+# holds on REFERENCE_PLATFORM at one and at two BLAS threads.
+STAGE_0_SAMPLE_REFERENCE = (
+    "69d90d1972a32cbf7aaec393b5c14bbd114d95383c3ec00592b95ac1a8d2891f",
+    "-0x1.cb60550f5987cp+6", ["0"] * 2 + ["0.015625"] + ["0"] * 7)
+
+
+def paper_stage_0_checkpoint(path):
+    from mpkrbm.params import ModelShape, init_params
+
+    return save_tiny_checkpoint(path, state={"stage": 0, "step_size": 0.01},
+                                params=init_params(ModelShape(*PAPER_SHAPE), 3))
+
+
+def test_stage_0_sample_keeps_its_bytes(tmp_path, capsys):
+    ck = paper_stage_0_checkpoint(tmp_path / "ck.mpk")
+    assert main(["sample", "--resume", str(ck), "--seed", "6", "--iterations", "10",
+                 "--out", str(tmp_path)]) == 0
+    digest, total, rejections = STAGE_0_SAMPLE_REFERENCE
+    trace = capsys.readouterr().out.splitlines()[1:-1]
+    assert [line.split(",")[1] for line in trace] == rejections
+    samples = read_container(tmp_path / "samples.mpk")["samples"]
+    assert samples.shape == (64, 200)
+    if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
+        assert checksum(tmp_path / "samples.mpk") == digest
+    # elsewhere float32 kernels round the trajectory differently
+    assert samples.sum() == pytest.approx(float.fromhex(total), rel=1e-6)
+
+
+def test_stage_0_sample_holds_no_phase_family(tmp_path):
+    # a stage-0 chain reads neither Q, R nor b_k: `sample` drops them once the
+    # checkpoint is checked, and holds the banded P as its diagonal. Holding
+    # them, the command peaked at 6.54 MiB of traced memory
+    from mpkrbm.params import load_checkpoint
+
+    ck = paper_stage_0_checkpoint(tmp_path / "ck.mpk")
+    params = load_checkpoint(ck)[0]
+    phase_bytes = params.Q.nbytes + params.R.nbytes + params.b_k.nbytes
+    del params
+    argv = ["sample", "--resume", str(ck), "--iterations", "10", "--out", str(tmp_path)]
+    assert main(argv) == 0      # imports and first-call caches are not the command's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.54 * 2 ** 20 - phase_bytes, peak / 2 ** 20
+
+
 @pytest.mark.parametrize("stage", [7, -1, 0.5, float("nan")])
 def test_sample_from_an_unknown_stage_exit_2_and_write_nothing(tmp_path, capsys, stage):
     ck = save_tiny_checkpoint(tmp_path / "ck.mpk", state={"stage": stage})
@@ -945,6 +1001,40 @@ def test_resume_after_a_stop_between_checkpoints_is_exact(tmp_path, monkeypatch,
                  "--out", str(cut)]) == 0
     assert (cut / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
     assert checksum(cut / "checkpoint.mpk") == checksum(full / "checkpoint.mpk")
+
+
+def test_resume_of_a_finished_run_keeps_its_checkpoint(tmp_path):
+    # the checkpoint of a finished stage-0 run still records stage 0, so
+    # `sample` still runs the model without phase units that it trained
+    cfg_path, config = base_config(tmp_path)
+    config.trainer.stage_iterations = (3, 0, 0, 0, 0)
+    save_run_config(config, cfg_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ck = tmp_path / "out" / "checkpoint.mpk"
+    digest = checksum(ck)
+    assert main(["train", "--config", str(cfg_path), "--resume", str(ck)]) == 0
+    assert load_checkpoint(ck)[1]["stage"] == 0
+    assert checksum(ck) == digest
+
+
+def test_resume_past_a_shorter_schedule_exit_3_and_write_nothing(tmp_path, capsys):
+    # its checkpoint would be rewritten as iteration 5 holding iteration 10's params
+    cfg_path, config = base_config(tmp_path)
+    write_images(tmp_path / "images")
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--iterations", "10"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    config.trainer.stage_iterations = (1, 1, 1, 1, 1)
+    save_run_config(config, cfg_path)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--resume",
+                 str(out / "checkpoint.mpk")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "iteration 10" in err[0] and "5-iteration" in err[0], err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_resume_into_a_new_directory_writes_the_header(tmp_path):

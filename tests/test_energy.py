@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -437,6 +438,12 @@ def test_diagonal_products_equal_matmul(name, shape, dtype):
         assert np.array_equal(got, np.matmul(a, M_op))
     with pytest.raises(ShapeError):
         np.ones((2, shape[0] + 1), dtype) @ d
+    assert Diagonal.of(d) is d
+    other = np.float64 if dtype == np.float32 else np.float32
+    cast = d.astype(other)
+    assert isinstance(cast, Diagonal) and cast.shape == d.shape
+    a = rows_with_zeros(shape[0], other)
+    assert np.array_equal(a @ cast, np.matmul(a, M.astype(other)))
 
 
 def test_diagonal_of_keeps_a_matrix_with_an_off_diagonal_nonzero():
@@ -462,3 +469,22 @@ def test_float32_grad_v_with_diagonal_p_and_r_keeps_its_bytes(with_phase):
     got = grad_free_energy_v(v, diagonal32, with_phase=with_phase)
     assert got.dtype == np.float32
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("with_phase", [True, False])
+def test_float64_forward_with_diagonal_p_and_r_keeps_its_bytes(with_phase):
+    # the float64 params `mpkrbm sample` runs its Metropolis F on: a phase-off
+    # chain holds no phase family
+    params = init_params(PAPER_SHAPE, 3)
+    held = params if with_phase else params.without_phase()
+    held = replace(held, P=Diagonal.of(held.P), R=Diagonal.of(held.R))
+    assert isinstance(held.P, Diagonal) and isinstance(held.R, Diagonal)
+    v = 0.1 * np.random.default_rng(4).standard_normal((64, 200))
+    expected = energy._forward(v, params, with_phase)
+    got = energy._forward(v, held, with_phase)
+    energy._free_energy(expected, params)
+    energy._free_energy(got, held)
+    assert vars(got).keys() == vars(expected).keys()
+    for name, array in vars(expected).items():
+        if isinstance(array, np.ndarray):
+            assert getattr(got, name).tobytes() == array.tobytes(), name

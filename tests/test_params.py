@@ -186,6 +186,17 @@ def test_copy_is_deep_and_keeps_alpha():
         assert not np.array_equal(copied, tensor), name
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_without_phase_empties_the_phase_family_alone(dtype):
+    p = init_params(SHAPE, seed=0).astype(dtype)
+    q = p.without_phase()
+    assert (q.Q.shape, q.R.shape, q.b_k.shape) == ((4, 2, 0), (0, 0), (0,))
+    assert {q.Q.dtype, q.R.dtype, q.b_k.dtype} == {np.dtype(dtype)}
+    for name in ("C", "P", "W", "b_c", "b_m", "b_v"):
+        assert getattr(q, name) is getattr(p, name), name
+    assert q.alpha == p.alpha and p.Q.shape == (4, 2, 4)
+
+
 def test_checkpoint_truncated(tmp_path):
     p = init_params(SHAPE, seed=5)
     path = tmp_path / "ck.mpk"

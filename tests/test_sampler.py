@@ -184,6 +184,25 @@ def test_chain_returns_float64_and_leaves_its_params_alone():
     assert params.alpha == before.alpha
 
 
+@pytest.mark.parametrize("with_phase", [True, False])
+def test_a_phase_off_chain_casts_no_phase_tensor(monkeypatch, with_phase):
+    # the leapfrog of a stage 0-1 chain never reads Q, R or b_k: its float32
+    # copy of the params holds an empty phase family
+    seen = []
+
+    def record(v, params32, with_phase=True):
+        seen.append((params32.Q.shape, params32.R.shape, params32.b_k.shape))
+        return original(v, params32, with_phase=with_phase)
+
+    original = grad.grad_free_energy_v
+    monkeypatch.setattr("mpkrbm.sampler.grad_free_energy_v", record)
+    params = random_tiny_params(5)
+    v0 = np.random.default_rng(6).standard_normal((6, 4))
+    hmc_chain(Chain.at(v0, params, with_phase), params, HmcConfig(n_leapfrog=3, seed=7), 2)
+    full = (params.Q.shape, params.R.shape, params.b_k.shape)
+    assert set(seen) == {full if with_phase else ((2, 2, 0), (0, 0), (0,))}
+
+
 def test_chain_memory_does_not_grow_with_simulations():
     # each simulation's forwards die with it, so running more simulations
     # must not raise the peak by as much as one float64 forward more

@@ -12,7 +12,7 @@ import pytest
 
 from mpkrbm import blas, energy, trainer
 from mpkrbm.energy import free_energy
-from mpkrbm.errors import DataError, NumericError
+from mpkrbm.errors import DataError, NumericError, ParameterError
 from mpkrbm.grad import grad_free_energy_params, random_tiny_params
 from mpkrbm.params import (
     LEARNABLE_TENSORS,
@@ -388,6 +388,32 @@ def test_resume_matches_uninterrupted(tmp_path):
                        initial_step_size=state["step_size"])
     for name in LEARNABLE_TENSORS:
         assert getattr(full, name).tobytes() == getattr(resumed, name).tobytes(), name
+
+
+@pytest.mark.parametrize("iterations, start, stage", [
+    ((3, 0, 0, 0, 0), 3, 0), ((0, 0, 0, 0, 0), 0, 0), ((2, 1, 0, 0, 0), 3, 1),
+    ((1, 1, 1, 1, 1), 5, 4)])
+def test_a_run_with_no_iterations_left_records_its_last_stage(tmp_path, iterations, start,
+                                                              stage):
+    # the stage of the schedule's last iteration, which `mpkrbm sample` reads
+    config = TrainerConfig(batch_size=8, seed=1, stage_iterations=iterations)
+    ck = tmp_path / "ck.mpk"
+    _, history = train(synthetic_patches(n=40), config, default_stages(iterations),
+                       initial_params=init_params(ModelShape(16, 3, 2, 3, 2, 4, 2), seed=1),
+                       start_iteration=start, checkpoint_path=str(ck))
+    assert history == []
+    state = load_checkpoint(ck)[1]
+    assert (state["iteration"], state["stage"]) == (start, stage)
+
+
+def test_a_resume_past_the_schedule_writes_nothing(tmp_path):
+    config = TrainerConfig(batch_size=8, seed=1, stage_iterations=(1, 1, 1, 1, 1))
+    with pytest.raises(ParameterError, match="iteration 10, past the end of its 5-iteration"):
+        train(synthetic_patches(n=40), config, default_stages(config.stage_iterations),
+              initial_params=init_params(ModelShape(16, 3, 2, 3, 2, 4, 2), seed=1),
+              start_iteration=10, checkpoint_path=str(tmp_path / "ck.mpk"),
+              metrics_path=str(tmp_path / "metrics.csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_training_reduces_data_free_energy():
