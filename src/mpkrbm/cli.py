@@ -18,11 +18,9 @@ count (when numpy's BLAS is OpenBLAS) and `train --resume` warns when it
 differs. Likewise `preprocess` writes whitening.mpk bit for bit again only
 at the same BLAS thread count (`preprocess.fit_whitening`).
 
-`sample` runs the hidden families of the stage its checkpoint records: the
-mean and pooled subspace units in stages 0 and 1, the phase-coupling units
-as well from stage 2 on (and for a checkpoint that records no stage). HMC
-keeps the density its Metropolis test evaluates, so sampling a stage 0-1
-model with phase units would draw from another model than the one trained.
+`sample` runs the model its checkpoint's stage trains (`cmd_sample`): HMC
+keeps the density its Metropolis test evaluates, so phase units that a
+stage 0-1 model was not trained with would draw from another model.
 
 `check` prints its records (`CHECKS`) with --json as {"checks": {name:
 record}, "passed"}, else one `name: ok|FAIL <record as JSON>` line each.
@@ -41,7 +39,8 @@ which scans it in blocks). Each is a DataError naming the file and the
 entry. `preprocess` ends in a ParameterError when its patch matrix cannot be
 allocated or is larger than the machine's physical memory (where
 `os.sysconf` reports it: numpy would map such a matrix lazily and fail
-only while filling it), before the extraction pool starts.
+only while filling it), before the extraction pool starts; `train` when its
+[trainer] batch_size asks for a batch matrix larger than that memory.
 
 Memory: `preprocess` holds the patch matrix, plus one centered copy while the
 whitening covariance is formed; `train` centers the raw patches in place and
@@ -106,6 +105,13 @@ def physical_memory():
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
+def _fits_in_memory(shape):
+    """Whether a float64 matrix of `shape` fits in physical memory (True
+    where it is not reported)."""
+    memory = physical_memory()
+    return memory is None or 8 * shape[0] * shape[1] <= memory
+
+
 def _load_config(args, required=True):
     """The run configuration of --config (the defaults where the command may
     run without one), with --seed set in the command's own config section."""
@@ -151,9 +157,8 @@ def _extract_all(data, data_dir):
 
     per_image = int(np.ceil(data.n_patches / len(images)))
     shape = (len(images) * per_image, data.patch_size ** 2 * channels)
-    memory = physical_memory()
     try:
-        if memory is not None and 8 * shape[0] * shape[1] > memory:
+        if not _fits_in_memory(shape):
             raise MemoryError   # numpy would map it lazily; the machine could not back it
         patches = np.empty(shape)
     except (MemoryError, ValueError):   # ValueError: past numpy's index range
@@ -222,6 +227,11 @@ def cmd_train(args):
     if params.C.shape[0] != n_visible:
         raise ShapeError(
             f"checkpoint D={params.C.shape[0]} does not match patches D={n_visible}")
+    batch = config.trainer.batch_size
+    if not _fits_in_memory((batch, n_visible)):     # the minibatch stream would hang first
+        raise ParameterError(f"[trainer] batch_size = {batch} needs a {batch} x {n_visible} "
+                             f"batch matrix ({8 * batch * n_visible:.3g} bytes), which "
+                             "cannot be allocated")
     start_iteration = int(opt.get("iteration", 0))
 
     out_dir = _out_dir(args, config)
@@ -256,10 +266,9 @@ def cmd_check(args):
 
 
 def cmd_sample(args):
-    """HMC samples of the model the checkpoint's stage trains: with the phase
-    units only where that stage's `phase_enabled` is set (stages 2-4), as HMC
-    samples the density whose F it is given. A checkpoint that records no
-    stage is sampled with every hidden family."""
+    """HMC samples of the model the checkpoint's stage trains (its
+    `phase_enabled`): `params.without_phase()` in stages 0-1, else every
+    hidden family, also for a checkpoint that records no stage."""
     if not args.resume:
         raise MissingFileError("sample needs --resume CHECKPOINT")
     checkpoint_path = _existing(args.resume, "checkpoint")
@@ -270,8 +279,7 @@ def cmd_sample(args):
     if stage not in range(len(stages)):     # a float: 0.5 and NaN are not in it
         raise DataError(f"{checkpoint_path}: recorded stage {stage:g} is not an integer in "
                         f"0..{len(stages) - 1}")
-    with_phase = stages[int(stage)].phase_enabled
-    if not with_phase:      # the chain reads no phase tensor: hold none
+    if not stages[int(stage)].phase_enabled:    # the chain reads no phase tensor: hold none
         params = params.without_phase()
     params.P, params.R = Diagonal.of(params.P), Diagonal.of(params.R)
     rng = np.random.default_rng(config.hmc.seed)
@@ -279,7 +287,7 @@ def cmd_sample(args):
     step = opt.get("step_size", config.hmc.step_size)
 
     print(HmcStats.csv_header())
-    chain, stats = hmc_chain(Chain.at(v, params, with_phase), params, config.hmc,
+    chain, stats = hmc_chain(Chain.at(v, params), params, config.hmc,
                              args.iterations, rng=rng, step_size=step)
     for line in stats.csv_lines():
         print(line)
@@ -293,12 +301,13 @@ def cmd_sample(args):
 def cmd_synth(args):
     config = _load_config(args)
     config.synth.validate()
+    pairs = config.synth.parse_pairs()
     out_path = _out_dir(args, config) / "synthetic.mpk"
     synth.write_coupled_dataset(
         out_path,
         patch_size=config.synth.patch_size,
         n_subspaces=config.synth.n_subspaces,
-        pairs=config.synth.parse_pairs(),
+        pairs=pairs,
         count=config.synth.n_patches,
         amplitude=config.synth.amplitude,
         noise_sigma=config.synth.noise_sigma,

@@ -5,6 +5,7 @@ ignored, and a parsed config renders back to text that parses to the same
 effective configuration.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -79,8 +80,15 @@ class SynthConfig:
 
     def validate(self):
         _require_positive("synth", self, "patch_size", "n_subspaces", "n_patches")
+        if not math.isfinite(self.amplitude):
+            raise ParameterError(f"[synth] amplitude must be finite, got {self.amplitude}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ParameterError(f"[synth] noise_sigma must be finite and >= 0, "
+                                 f"got {self.noise_sigma}")
 
     def parse_pairs(self):
+        """The (i, j, VonMisesPair) entries of coupled_pairs; ConfigError for an
+        entry that is not i:j:kappa:mu, ParameterError for a bad kappa or mu."""
         pairs = []
         text = self.coupled_pairs.strip()
         if not text:
@@ -91,7 +99,11 @@ class SynthConfig:
                 i, j, kappa, mu = int(i), int(j), float(kappa), float(mu)
             except ValueError:
                 raise ConfigError(f"coupled_pairs entry {chunk!r} is not i:j:kappa:mu") from None
-            pairs.append((i, j, VonMisesPair(kappa=kappa, mu=mu)))
+            try:
+                pairs.append((i, j, VonMisesPair(kappa=kappa, mu=mu)))
+            except ParameterError as err:
+                raise ParameterError(f"[synth] coupled_pairs entry {chunk.strip()!r}: "
+                                     f"{err}") from None
         return pairs
 
 

@@ -59,8 +59,9 @@ vector (D,) or rows with any leading shape (..., D). They run in the dtype
 of the params: float64 everywhere but the HMC trajectory, whose gradients
 `sampler.hmc_chain` takes from a float32 copy. The two places a `Diagonal`
 stands in for P or R are that copy and the float64 params of `cli.cmd_sample`.
-A forward without the phase units reads no phase tensor, so it runs on
-`params.ModelParams.without_phase()` as on the whole model.
+A forward runs the phase units exactly where the params have a phase
+family (`ModelParams.has_phase`); `ModelParams.without_phase()`, the model
+of training stages 0-1, has none.
 """
 
 from dataclasses import dataclass
@@ -182,7 +183,7 @@ class Diagonal:
         return out
 
 
-def _forward(v, params, with_phase=True, normalize=True):
+def _forward(v, params, normalize=True):
     """Every intermediate of F at the rows of v, flattened to (B, D).
 
     With `normalize` the pooling and phase paths see u = v / max(||v||, eps);
@@ -197,12 +198,13 @@ def _forward(v, params, with_phase=True, normalize=True):
     D, F, L = params.C.shape
     if v.shape[-1] != D:
         raise ShapeError(f"visible dim {v.shape[-1]} != model D={D}")
-    if not params.alpha > 0:
-        raise ParameterError(f"alpha must be > 0, got {params.alpha}")
-    if with_phase and L != 2:
+    if not 0 < params.alpha < np.inf:
+        raise ParameterError(f"alpha must be finite and > 0, got {params.alpha}")
+    phase = params.has_phase
+    if phase and L != 2:
         raise ParameterError(f"phase units require subspace dimension L = 2, got L={L}")
 
-    fw = SimpleNamespace(lead=v.shape[:-1], with_phase=with_phase)
+    fw = SimpleNamespace(lead=v.shape[:-1])
     V = fw.V = v.reshape(-1, D)
     B = V.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -211,7 +213,7 @@ def _forward(v, params, with_phase=True, normalize=True):
         fw.nu = np.maximum(fw.norm, EPS_NORM)
         fw.U = np.divide(V, fw.nu) if normalize else V
         Y = fw.Y = np.matmul(fw.U, params.C.reshape(D, F * L)).reshape(B, F, L)
-        if params.alpha == 2.0 or with_phase:
+        if params.alpha == 2.0 or phase:
             sum_sq = _sum_last(np.multiply(Y, Y))
         if params.alpha == 2.0:     # |y|**2 is y*y bit for bit: s shares r's sum of squares
             fw.s = np.sqrt(sum_sq)
@@ -226,7 +228,7 @@ def _forward(v, params, with_phase=True, normalize=True):
         fw.m += params.b_m
         fw.e_p = _exp_neg_abs(fw.phi)
         fw.e_m = _exp_neg_abs(fw.m)
-        if with_phase:
+        if phase:
             G = params.R.shape[0]
             r2 = np.add(sum_sq, EPS_R * EPS_R, out=sum_sq)     # sum_sq is dead from here
             fw.r = np.sqrt(r2, out=r2)
@@ -249,7 +251,7 @@ def _free_energy(fw, params):
         fw.quad -= np.matmul(fw.V, params.b_v)
         fw.f = np.subtract(fw.quad, _softplus(fw.phi, fw.e_p).sum(axis=1))
         fw.f -= _softplus(fw.m, fw.e_m).sum(axis=1)
-        if fw.with_phase:
+        if params.has_phase:
             fw.f -= _softplus(fw.psi, fw.e_k).sum(axis=1)
     return fw.f
 
@@ -260,11 +262,11 @@ def _view(fw, rows):
     return rows.reshape(fw.lead + rows.shape[1:])[()]
 
 
-def _check_finite(fw, caller):
+def _check_finite(fw, params, caller):
     """NumericError naming the first non-finite drive or visible term of a
     forward pass whose F `_free_energy` has computed."""
     terms = [("pooling drive", fw.phi), ("mean drive", fw.m), ("visible term", fw.quad)]
-    if fw.with_phase:
+    if params.has_phase:
         terms.append(("phase drive", fw.psi))
     for name, term in terms:
         if not np.all(np.isfinite(term)):
@@ -277,7 +279,7 @@ def subspace_pool(v, params):
     Expects v already normalized by the caller. For alpha=2, L=2 this is
     the quadrature-pair amplitude.
     """
-    fw = _forward(v, params, with_phase=False, normalize=False)
+    fw = _forward(v, params.without_phase(), normalize=False)
     return _view(fw, fw.s)
 
 
@@ -300,7 +302,9 @@ def phase_features(v, params):
     The angle is scale invariant, so v need not be normalized; the
     amplitude regularizer eps_r keeps everything finite at v = 0.
     """
-    fw = _forward(v, params, with_phase=True, normalize=False)
+    if not params.has_phase:
+        raise ParameterError("phase features need a model with a phase family")
+    fw = _forward(v, params, normalize=False)
     a, b = _view(fw, fw.Y[..., 0]), _view(fw, fw.Y[..., 1])
     return PhaseFeatures(a=a, b=b, r=_view(fw, fw.r), theta=np.arctan2(b, a),
                          x=_view(fw, fw.x))
@@ -309,7 +313,7 @@ def phase_features(v, params):
 def pool_drive(v_normalized, params):
     """Pooling-unit drive, the argument of their sigmoid/softplus, at an
     already normalized patch."""
-    fw = _forward(v_normalized, params, with_phase=False, normalize=False)
+    fw = _forward(v_normalized, params.without_phase(), normalize=False)
     return _view(fw, fw.phi)
 
 
@@ -320,7 +324,7 @@ def _check_hidden(h, n, what):
     return h
 
 
-def total_energy(v, h_p, h_m, h_k, params, with_phase=True):
+def total_energy(v, h_p, h_m, h_k, params):
     """E_p + E_m + E_k + 1/2 ||v||^2 - b_v . v for a single patch v.
 
     The pooling and phase terms see the normalized patch, matching
@@ -328,23 +332,23 @@ def total_energy(v, h_p, h_m, h_k, params, with_phase=True):
     """
     h_p = _check_hidden(h_p, params.P.shape[1], "h_p")
     h_m = _check_hidden(h_m, params.W.shape[1], "h_m")
-    fw = _forward(v, params, with_phase)
+    fw = _forward(v, params)
     _free_energy(fw, params)
     total = -h_p @ _view(fw, fw.phi) - h_m @ _view(fw, fw.m) + _view(fw, fw.quad)
-    if with_phase:
+    if params.has_phase:
         total = total - _check_hidden(h_k, params.R.shape[1], "h_k") @ _view(fw, fw.psi)
     return total
 
 
-def free_energy(v, params, with_phase=True):
+def free_energy(v, params):
     """-log sum_h exp(-E(v, h)) with all binary hiddens summed out.
 
     Returns a scalar for a single v or a vector for a batch. Any
     non-finite drive raises NumericError naming the term.
     """
-    fw = _forward(v, params, with_phase)
+    fw = _forward(v, params)
     f = _free_energy(fw, params)
-    _check_finite(fw, "free_energy")
+    _check_finite(fw, params, "free_energy")
     return _view(fw, f)
 
 
@@ -357,12 +361,12 @@ class HiddenActivations:
     p_hk: np.ndarray
 
 
-def hidden_conditionals(v, params, with_phase=True):
-    fw = _forward(v, params, with_phase)
+def hidden_conditionals(v, params):
+    fw = _forward(v, params)
     return HiddenActivations(
         p_hp=_view(fw, _sigmoid(fw.phi, fw.e_p)),
         p_hm=_view(fw, _sigmoid(fw.m, fw.e_m)),
-        p_hk=_view(fw, _sigmoid(fw.psi, fw.e_k)) if with_phase else None,
+        p_hk=_view(fw, _sigmoid(fw.psi, fw.e_k)) if params.has_phase else None,
     )
 
 

@@ -17,10 +17,11 @@ backward from a forward with F that the caller already has and returns
 `ModelParams.tensors()`. F is not in it: it stays the forward's `f`,
 where CD-1 reads it. CD-1 passes that entry the forwards HMC's Metropolis
 test computed, at the data and at the model rows.
-`grad_free_energy_params` is rows -> forward with F -> that entry. At
-alpha = 2 the backward takes d s / d y = y / s, which equals
-sign(y) |y| / s bit for bit but for the sign of a zero y; any other alpha
-takes (|y| / s)**(alpha - 1) sign(y).
+`grad_free_energy_params` is rows -> forward with F -> that entry. The
+phase gradients of `ModelParams.without_phase()` are empty arrays. At
+alpha = 2 the backward takes d s / d y = y / s, which equals sign(y) |y| / s
+bit for bit but for the sign of a zero y; any other alpha takes
+(|y| / s)**(alpha - 1) sign(y).
 """
 
 import numpy as np
@@ -59,7 +60,7 @@ def _backward(fw, params):
     if has_zero:
         np.copyto(dy, 0.0, where=zero[..., None])
     energy._per_plane(np.multiply, dy, g_s, dy)
-    if fw.with_phase:
+    if params.has_phase:
         fw.sig_k = energy._sigmoid(fw.psi, fw.e_k)
         fw.g_q = fw.sig_k @ params.R.T    # (B, G)
         np.negative(fw.g_q, out=fw.g_q)
@@ -72,7 +73,7 @@ def _backward(fw, params):
     return fw
 
 
-def grad_free_energy_v(v, params, with_phase=True):
+def grad_free_energy_v(v, params):
     """dF/dv with the shape of v (single vector or batch of rows), from one
     forward and one backward pass and no F: what the leapfrog integrator
     takes. A new array in the dtype of the params.
@@ -82,7 +83,7 @@ def grad_free_energy_v(v, params, with_phase=True):
     path differentiable almost everywhere. Non-finite values are returned,
     not raised: HMC counts them as divergences.
     """
-    fw = _backward(energy._forward(v, params, with_phase), params)
+    fw = _backward(energy._forward(v, params), params)
     D, F, L = params.C.shape
     B = fw.V.shape[0]
     g_u = np.matmul(fw.dy.reshape(B, F * L), params.C.reshape(D, F * L).T)
@@ -103,13 +104,13 @@ def grad_free_energy_v(v, params, with_phase=True):
     return energy._view(fw, g_v)
 
 
-def grad_free_energy_params(v_batch, params, with_phase=True):
+def grad_free_energy_params(v_batch, params):
     """`grad_params_from_forward` at the rows of `v_batch`, from a forward
     run here, with F."""
     V = np.atleast_2d(np.asarray(v_batch, dtype=np.float64))
     if V.shape[0] == 0:
         raise DataError("empty batch")
-    fw = energy._forward(V, params, with_phase)
+    fw = energy._forward(V, params)
     energy._free_energy(fw, params)
     return grad_params_from_forward(fw, params)
 
@@ -121,15 +122,15 @@ def grad_params_from_forward(fw, params):
     is that forward's `fw.f`. The backward's intermediates are added to
     `fw`; the forward's arrays are only read.
 
-    Tensors of the phase family come back zero when the forward ran
-    without the phase units. A non-finite drive or visible term raises
-    NumericError, as in `energy.free_energy`.
+    The forward is of the model `params`; the phase gradients of one without
+    a phase family are empty arrays, like its phase tensors. A non-finite
+    drive or visible term raises NumericError, as in `energy.free_energy`.
     """
-    energy._check_finite(fw, "grad_params_from_forward")
+    energy._check_finite(fw, params, "grad_params_from_forward")
     _backward(fw, params)
     B = fw.V.shape[0]
     D, F, L = params.C.shape
-    if fw.with_phase:
+    if params.has_phase:
         phase = dict(Q=(fw.x.reshape(B, F * L).T @ fw.g_q).reshape(params.Q.shape),
                      R=-0.5 * (fw.q * fw.q).T @ fw.sig_k,
                      b_k=-fw.sig_k.mean(axis=0))
@@ -166,20 +167,18 @@ def _central_differences(x, f, step):
     return out
 
 
-def finite_diff_v(v, params, step=1e-5, with_phase=True):
+def finite_diff_v(v, params, step=1e-5):
     """Central differences of free_energy w.r.t. each visible coordinate."""
     v = np.array(v, dtype=np.float64)
-    return _central_differences(
-        v, lambda: energy.free_energy(v, params, with_phase=with_phase), step)
+    return _central_differences(v, lambda: energy.free_energy(v, params), step)
 
 
-def finite_diff_param(v_batch, params, name, step=1e-5, with_phase=True):
+def finite_diff_param(v_batch, params, name, step=1e-5):
     """Central differences of mean batch free energy w.r.t. one tensor."""
     V = np.atleast_2d(np.asarray(v_batch, dtype=np.float64))
     p = params.copy()
-    return _central_differences(
-        getattr(p, name), lambda: np.mean(energy.free_energy(V, p, with_phase=with_phase)),
-        step)
+    return _central_differences(getattr(p, name), lambda: np.mean(energy.free_energy(V, p)),
+                                step)
 
 
 def _rel_err(analytic, fd):

@@ -18,10 +18,10 @@ one float32 copy is `astype(np.float32)`, which `sampler.hmc_chain` makes
 once per call for its leapfrog gradients. A diagonal P or R becomes an
 `energy.Diagonal`, whose products scale by the diagonal, in two places:
 that float32 copy, and the float64 params `cli.cmd_sample` holds.
-`without_phase()` is the model of training stages 0-1 with an empty phase
-family, G = T = 0, which a phase-off chain (`cmd_sample` of a stage 0-1
-checkpoint, and that float32 copy of a phase-off chain) holds in place of
-Q, R and b_k. ModelParams is treated as an immutable value between updates.
+`without_phase()` is the model of training stages 0-1, with an empty phase
+family (G = T = 0, so `has_phase` is false), which `trainer.train` steps and
+`cli.cmd_sample` samples for those stages. ModelParams is treated as an
+immutable value between updates.
 """
 
 import warnings
@@ -92,11 +92,14 @@ class ModelParams:
         """A copy with every tensor cast to `dtype`; alpha stays a float."""
         return replace(self, **{n: t.astype(dtype) for n, t in self.tensors().items()})
 
+    @property
+    def has_phase(self):
+        """Whether the model has phase-coupling units: Q has phase factors."""
+        return self.Q.shape[-1] > 0
+
     def without_phase(self):
-        """The model of training stages 0-1, whose phase-off forward and
-        gradients never read the phase family: these params with an empty
-        one, Q (F, L, 0), R (0, 0) and b_k (0,), in the dtype of C. The
-        other tensors are shared, not copied."""
+        """These params with an empty phase family, Q (F, L, 0), R (0, 0) and
+        b_k (0,), in the dtype of C; the other tensors are shared, not copied."""
         F, L, dtype = self.C.shape[1], self.C.shape[2], self.C.dtype
         return replace(self, Q=np.zeros((F, L, 0), dtype), R=np.zeros((0, 0), dtype),
                        b_k=np.zeros(0, dtype))

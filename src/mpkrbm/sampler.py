@@ -18,10 +18,10 @@ that copy a P or R whose nonzeros all lie on the diagonal (the banded
 pattern that stage 0 holds P at and stages 0-2 hold R at, -I and I at the
 paper shape) is an `energy.Diagonal`, so its two products per gradient
 are one elementwise scaling each, with BLAS's bits (the other terms of
-each sum are zeros). A phase-off chain's copy is made from
-`params.without_phase()`: it casts no Q, R or b_k, which it never reads.
-The float64 params are the caller's; `cli.cmd_sample` passes them with P
-and R as `Diagonal`s already, where the copy keeps them.
+each sum are zeros). The float64 params name the density sampled, with the
+phase units exactly where they have a phase family: a chain of
+`params.without_phase()` casts no Q, R or b_k. `cli.cmd_sample` passes
+them with P and R as `Diagonal`s already, where the copy keeps them.
 `leapfrog` takes the gradient at its start point and returns the one at
 its end point, so a simulation of K steps computes K gradients, each at a
 new position. H at the start and end points comes from a float64 F, the
@@ -31,8 +31,8 @@ where |F| is in the hundreds, and that error would enter every delta H.
 Samples, like the params, are float64.
 
 `hmc_chain` takes a `Chain`, the whole state of the chains from one
-simulation to the next: the float64 forward with F at the rows, which
-records `with_phase`, and dF/dv there. Each simulation runs K float32
+simulation to the next: the float64 forward with F at the rows, and dF/dv
+there, both of the params the chain samples. Each simulation runs K float32
 gradient-only forwards and one float64 forward with F, at the end point,
 and `hmc_chain` returns the final Chain. It adds one float32 forward at the
 start for dF/dv only when its chain has none (one fresh from `Chain.at`),
@@ -119,22 +119,19 @@ def leapfrog(v, p, grad, grad_fn, step_size, n_steps):
 @dataclass
 class Chain:
     """The state of a batch of chains, one per row: the float64 forward
-    (`energy._forward`) at the rows, with F, which records `with_phase`,
-    and `grad`, dF/dv at the rows from the float32 params of `hmc_chain`,
-    or None until `hmc_chain` takes it. Both belong to one set of params.
+    (`energy._forward`) at the rows, with F, and `grad`, dF/dv at the rows
+    from the float32 params of `hmc_chain`, or None until `hmc_chain` takes
+    it. Both belong to one set of params, which `hmc_chain` must be given.
     Made by `Chain.at`; `hmc_chain` takes one and returns the next."""
 
     forward: SimpleNamespace
     grad: np.ndarray = None
 
     @classmethod
-    def at(cls, rows, params, with_phase=True):
-        """A chain at `rows` (B, D) of the model with the phase-coupling units
-        when `with_phase` (the default: every hidden family, the model of
-        training stages 2-4), else of the mean and pooled subspace units
-        alone (stages 0-1). Its F and every gradient `hmc_chain` takes follow
-        that choice, so it names the density the chain samples."""
-        fw = _forward(rows, params, with_phase)
+    def at(cls, rows, params):
+        """A chain at `rows` (B, D) of the model `params`: every hidden family
+        in training stages 2-4, `params.without_phase()` in stages 0-1."""
+        fw = _forward(rows, params)
         _free_energy(fw, params)
         return cls(fw)
 
@@ -145,7 +142,7 @@ class Chain:
 
 def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
     """Run `n_simulations` HMC simulations on every row of `chain`, a
-    `Chain`, with the `with_phase` its forward records. Each draws a fresh
+    `Chain` of `params`, the model it samples. Each draws a fresh
     momentum, runs `leapfrog`, takes the float64 forward with F of the end
     point and applies the Metropolis test on H; a non-finite delta H is
     rejected.
@@ -161,9 +158,8 @@ def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
     float32 forward for a chain without dF/dv (one from `Chain.at`). The
     float32 copy of the params, private to the call, holds P and R as
     `energy.Diagonal`s where they are diagonal: the gradients multiply by
-    their diagonals, bit for bit the BLAS products. Without the phase units
-    it holds an empty phase family (`ModelParams.without_phase`). The
-    float64 forwards run on `params` as given.
+    their diagonals, bit for bit the BLAS products. The float64 forwards run
+    on `params` as given.
     """
     config.validate()
     rng = np.random.default_rng(config.seed) if rng is None else rng
@@ -172,12 +168,11 @@ def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
 
     fw, grad = chain.forward, chain.grad
     del chain       # the start forward dies once the first simulation replaces it
-    with_phase = fw.with_phase
-    params32 = (params if with_phase else params.without_phase()).astype(np.float32)
+    params32 = params.astype(np.float32)
     params32.P, params32.R = Diagonal.of(params32.P), Diagonal.of(params32.R)
 
     def gradient(x):
-        return grad_free_energy_v(x, params32, with_phase=with_phase).astype(np.float64)
+        return grad_free_energy_v(x, params32).astype(np.float64)
 
     # non-finite values are kept: the Metropolis step counts them as divergences
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -186,7 +181,7 @@ def hmc_chain(chain, params, config, n_simulations, rng=None, step_size=None):
         for _ in range(n_simulations):
             p0 = rng.standard_normal(fw.V.shape)
             v1, p1, g1 = leapfrog(fw.V, p0, grad, gradient, eps, config.n_leapfrog)
-            proposal = _forward(v1, params, with_phase)
+            proposal = _forward(v1, params)
             f1 = _free_energy(proposal, params)
             h0 = fw.f + 0.5 * np.sum(p0 * p0, axis=1)
             h1 = f1 + 0.5 * np.sum(p1 * p1, axis=1)

@@ -31,8 +31,10 @@ class VonMisesPair:
     mu: float
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ParameterError(f"kappa must be >= 0, got {self.kappa}")
+        if not 0 <= self.kappa < np.inf:
+            raise ParameterError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not np.isfinite(self.mu):
+            raise ParameterError(f"mu must be finite, got {self.mu}")
 
 
 def von_mises_pair_pdf(theta_i, theta_j, pair):

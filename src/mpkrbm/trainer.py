@@ -50,7 +50,8 @@ class TrainerConfig:
 @dataclass(frozen=True)
 class StageSpec:
     """One schedule stage: which tensors adapt, whether the phase units
-    participate, and tensors reset to their banded pattern at entry."""
+    participate (the one owner of the stage -> model mapping, read by `train`
+    and `cli.cmd_sample`), and tensors reset to their banded pattern at entry."""
 
     name: str
     iterations: int
@@ -111,12 +112,11 @@ class StepMetrics:
 
 
 def cd1_step(batch, params, config, hmc_config, step_size, rng,
-             trainable=ALL_TENSORS, with_phase=True, iteration=0, stage=0):
-    """One CD-1 update. Returns (new params, new step size, metrics).
+             trainable=ALL_TENSORS, iteration=0, stage=0):
+    """One CD-1 update of the model `params`. Returns (new params, new step size, metrics).
 
-    The data's float64 forward, with F, is run once (`sampler.Chain.at`,
-    with `with_phase`) and serves both HMC, whose simulation starts there
-    and runs with the `with_phase` that forward records, and the data's
+    The data's float64 forward, with F, is run once (`sampler.Chain.at`)
+    and serves both HMC, whose simulation starts there, and the data's
     parameter gradient. The simulation returns the model rows' forward:
     the proposal's, with each rejected row taken from the data's, which is
     what a forward of the model rows would compute, bit for bit. Both
@@ -133,7 +133,7 @@ def cd1_step(batch, params, config, hmc_config, step_size, rng,
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
         raise DataError("empty batch")
-    data = Chain.at(batch, params, with_phase)
+    data = Chain.at(batch, params)
     model, stats = hmc_chain(data, params, hmc_config, 1, rng=rng, step_size=step_size)
 
     g_data, f_data = grad_params_from_forward(data.forward, params), data.forward.f
@@ -197,6 +197,9 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
           initial_step_size=None, max_iterations=None, log_fn=None):
     """Run the staged schedule over a patch matrix.
 
+    A stage without `phase_enabled` steps `params.without_phase()`; the full
+    params take its updates and keep their phase family for later stages.
+
     Resume by passing the checkpointed params, iteration and step size;
     the minibatch stream and per-iteration RNGs are derived from the
     config seed and the global iteration index, so a resumed run matches
@@ -215,8 +218,8 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
         if stage.iterations < 0:
             raise ParameterError(f"stage {stage.name} iterations must be >= 0, "
                                  f"got {stage.iterations}")
-    if not initial_params.alpha > 0:
-        raise ParameterError(f"alpha must be > 0, got {initial_params.alpha}")
+    if not 0 < initial_params.alpha < np.inf:
+        raise ParameterError(f"alpha must be finite and > 0, got {initial_params.alpha}")
     L = initial_params.subspace_dim
     if L != 2 and any(stage.phase_enabled and stage.iterations > 0 for stage in stages):
         raise ParameterError(f"phase stages need subspace dimension L = 2, got L={L}")
@@ -250,12 +253,13 @@ def train(patches, config, stages, hmc_config=None, checkpoint_path=None,
 
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x4C1D, it]))
             batch = cycler.batch(it)
+            model = params if stage.phase_enabled else params.without_phase()
             try:
-                params, step_size, metrics = cd1_step(
-                    batch, params, config, hmc_config, step_size, rng,
-                    trainable=stage.trainable, with_phase=stage.phase_enabled,
-                    iteration=it, stage=stage_idx,
-                )
+                new, step_size, metrics = cd1_step(batch, model, config, hmc_config, step_size,
+                                                   rng, trainable=stage.trainable,
+                                                   iteration=it, stage=stage_idx)
+                params = new if model is params else replace(new, Q=params.Q, R=params.R,
+                                                             b_k=params.b_k)
                 consecutive_failures = 0
             except NumericError as exc:
                 consecutive_failures += 1

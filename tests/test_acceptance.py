@@ -263,7 +263,7 @@ def test_log_partition_phase_off_matches_quadrature():
         r, wr = 10.0 * (x + 1.0), 10.0 * wx      # r in [0, 20]
         theta = np.arange(512) * 2 * np.pi / 512
         v = np.stack([np.outer(r, np.cos(theta)), np.outer(r, np.sin(theta))], axis=-1)
-        log_f = -free_energy(v.reshape(-1, 2), params, with_phase=False).reshape(200, 512)
+        log_f = -free_energy(v.reshape(-1, 2), params.without_phase()).reshape(200, 512)
         exact = np.logaddexp.reduce(
             (log_f + np.log(r * wr)[:, None]).ravel()) + np.log(2 * np.pi / 512)
 
@@ -295,8 +295,8 @@ def test_c08_five_stage_training_smoke():
     finite = bool(np.all(np.isfinite(f_data))) and params.all_finite()
     # CD ascends log p(v) = -F(v) - log Z, not -F(v): F(data) alone may rise
     # while the model improves, so stage 2 is judged by the log-likelihood.
-    f50 = free_energy(patches, snapshots[50], with_phase=False)
-    f200 = free_energy(patches, snapshots[200], with_phase=False)
+    f50 = free_energy(patches, snapshots[50].without_phase())
+    f200 = free_energy(patches, snapshots[200].without_phase())
     log_z50, se50 = log_partition_phase_off(snapshots[50], 20_000, seed=88)
     log_z200, se200 = log_partition_phase_off(snapshots[200], 20_000, seed=89)
     log_p50, log_p200 = -f50.mean() - log_z50, -f200.mean() - log_z200

@@ -270,6 +270,15 @@ def test_non_positive_size_or_count_exit_3_and_write_nothing(tmp_path, capsys, c
      "whitening file has raw dim 8 but patches have D=108"),
     ("export", ("paths", "whitening", "w8.mpk"),
      "whitening file has D=8 components but checkpoint has D=6"),
+    ("synth", ("synth", "amplitude", float("inf")), "[synth] amplitude must be finite, got inf"),
+    ("synth", ("synth", "noise_sigma", float("nan")),
+     "[synth] noise_sigma must be finite and >= 0, got nan"),
+    ("synth", ("synth", "noise_sigma", -1.0),
+     "[synth] noise_sigma must be finite and >= 0, got -1.0"),
+    ("synth", ("synth", "coupled_pairs", "1:2:nan:0"),
+     "[synth] coupled_pairs entry '1:2:nan:0': kappa must be finite and >= 0, got nan"),
+    ("synth", ("synth", "coupled_pairs", "1:2:3:inf"),
+     "[synth] coupled_pairs entry '1:2:3:inf': mu must be finite, got inf"),
 ])
 def test_negative_seed_or_bad_variance_fraction_exit_3_and_write_nothing(tmp_path, capsys,
                                                                          command, setting,
@@ -558,8 +567,8 @@ def test_check_detects_injected_bug(monkeypatch, capsys):
 
     original = grad_module.grad_free_energy_v
 
-    def broken(v, params, with_phase=True):
-        return original(v, params, with_phase=with_phase) * 1.001
+    def broken(v, params):
+        return original(v, params) * 1.001
 
     monkeypatch.setattr(grad_module, "grad_free_energy_v", broken)
     assert main(["check"]) == 1
@@ -589,9 +598,9 @@ def test_sample_runs_the_hidden_families_of_the_recorded_stage(tmp_path, monkeyp
     # stages 0-1 train the subspace model alone; no stage recorded: the whole model
     seen = []
 
-    def record(chain, *args, **kwargs):
-        seen.append(chain.forward.with_phase)
-        return original(chain, *args, **kwargs)
+    def record(chain, params, *args, **kwargs):
+        seen.append(params.has_phase)
+        return original(chain, params, *args, **kwargs)
 
     original = cli.hmc_chain
     monkeypatch.setattr(cli, "hmc_chain", record)
@@ -675,6 +684,42 @@ def test_stage_0_sample_holds_no_phase_family(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 6.54 * 2 ** 20 - phase_bytes, peak / 2 ** 20
+
+
+# `mpkrbm train` of a 4-3-3-4-3 model (D = 16) on 64 seeded patches, two
+# iterations each of stages 0, 1 and 2, so that the run crosses from the
+# stages without phase units into the first with them: the SHA-256 of
+# metrics.csv and of checkpoint.mpk, recorded while a flag, not the params,
+# chose the phase units. The checkpoint records no BLAS thread count here;
+# both digests hold on REFERENCE_PLATFORM at one and at two BLAS threads.
+STAGED_TRAIN_REFERENCE = ("99a09e388bd745a7b94395ee774ec060a19c6498bdeb6b6f237a1030000f0e70",
+                          "3fd7e0488aeadcf8d9df57ee40facf9cadfb67f79f05447c734bf8aadb2cdc83")
+
+
+def test_staged_train_keeps_its_bytes(tmp_path, monkeypatch):
+    write_container(tmp_path / "patches.mpk",
+                    {"patches": np.random.default_rng(9).standard_normal((64, 16))})
+    config = RunConfig()
+    config.paths.patches = str(tmp_path / "patches.mpk")
+    config.paths.out_dir = str(tmp_path / "out")
+    for key, value in dict(n_subspaces=4, n_pool_hidden=4, n_mean_hidden=3,
+                           n_phase_factors=4, n_phase_hidden=3).items():
+        setattr(config.model, key, value)
+    config.trainer.batch_size = 16
+    config.trainer.stage_iterations = (2, 2, 2, 0, 0)
+    save_run_config(config, tmp_path / "run.cfg")
+    monkeypatch.setattr(blas, "threads", lambda: None)
+    assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 0
+    metrics = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    columns = metrics[0].split(",")
+    rows = [dict(zip(columns, line.split(","))) for line in metrics[1:]]
+    assert [row["stage"] for row in rows] == ["0", "0", "1", "1", "2", "2"]
+    # an empty phase family has no gradient: its norms read 0 until stage 2
+    for name in ("Q", "R", "b_k"):
+        assert [row[f"grad_norm_{name}"] == "0" for row in rows] == [True] * 4 + [False] * 2
+    if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
+        assert (checksum(tmp_path / "out" / "metrics.csv"),
+                checksum(tmp_path / "out" / "checkpoint.mpk")) == STAGED_TRAIN_REFERENCE
 
 
 @pytest.mark.parametrize("stage", [7, -1, 0.5, float("nan")])
@@ -764,6 +809,7 @@ def test_bad_whitening_entry_exit_2_and_write_nothing(tmp_path, capsys, entry, c
     ("model", "alpha", float("nan")),
     ("trainer", "stage_iterations", (5, -3, 0, 0, 0)),
     ("trainer", "stage_iterations", (-3, 0, 0, 0, 0)),
+    ("model", "alpha", float("inf")),
 ])
 def test_train_bad_config_touches_no_output(tmp_path, capsys, section, key, value):
     # the whole run is checked before metrics.csv is rewritten or any
@@ -839,6 +885,25 @@ def test_preprocess_patch_matrix_larger_than_memory_exit_3(tmp_path, capsys, mon
     assert main(["preprocess", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "n_patches = 16384" in err[0], err
+    assert "16384 x 16" in err[0] and "2.1e+06 bytes" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_batch_matrix_larger_than_memory_exit_3(tmp_path, capsys, monkeypatch):
+    # 16384 rows of 16 dims: 2 MiB, against a machine reported to hold 1 MiB.
+    # Unchecked, the minibatch stream walks 1024 passes over the 16 patches
+    # per batch; at a batch of 10**11 it walks about 6e9 and never returns
+    write_container(tmp_path / "patches.mpk",
+                    {"patches": np.random.default_rng(0).standard_normal((16, 16))})
+    config = RunConfig()
+    config.paths.patches = str(tmp_path / "patches.mpk")
+    config.paths.out_dir = str(tmp_path / "out")
+    config.trainer.batch_size = 16384
+    save_run_config(config, tmp_path / "run.cfg")
+    monkeypatch.setattr(cli, "physical_memory", lambda: 2 ** 20)
+    assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "batch_size = 16384" in err[0], err
     assert "16384 x 16" in err[0] and "2.1e+06 bytes" in err[0], err
     assert not (tmp_path / "out").exists()
 

@@ -461,12 +461,14 @@ PAPER_SHAPE = ModelShape(200, 256, 2, 256, 100, 256, 256)
 def test_float32_grad_v_with_diagonal_p_and_r_keeps_its_bytes(with_phase):
     # the float32 copy that sampler.hmc_chain runs its leapfrog on
     params32 = init_params(PAPER_SHAPE, 3).astype(np.float32)
+    if not with_phase:
+        params32 = params32.without_phase()
     diagonal32 = params32.copy()
     diagonal32.P, diagonal32.R = Diagonal.of(params32.P), Diagonal.of(params32.R)
     assert isinstance(diagonal32.P, Diagonal) and isinstance(diagonal32.R, Diagonal)
     v = np.random.default_rng(4).standard_normal((128, 200))
-    expected = grad_free_energy_v(v, params32, with_phase=with_phase)
-    got = grad_free_energy_v(v, diagonal32, with_phase=with_phase)
+    expected = grad_free_energy_v(v, params32)
+    got = grad_free_energy_v(v, diagonal32)
     assert got.dtype == np.float32
     assert got.tobytes() == expected.tobytes()
 
@@ -476,12 +478,13 @@ def test_float64_forward_with_diagonal_p_and_r_keeps_its_bytes(with_phase):
     # the float64 params `mpkrbm sample` runs its Metropolis F on: a phase-off
     # chain holds no phase family
     params = init_params(PAPER_SHAPE, 3)
-    held = params if with_phase else params.without_phase()
-    held = replace(held, P=Diagonal.of(held.P), R=Diagonal.of(held.R))
+    if not with_phase:
+        params = params.without_phase()
+    held = replace(params, P=Diagonal.of(params.P), R=Diagonal.of(params.R))
     assert isinstance(held.P, Diagonal) and isinstance(held.R, Diagonal)
     v = 0.1 * np.random.default_rng(4).standard_normal((64, 200))
-    expected = energy._forward(v, params, with_phase)
-    got = energy._forward(v, held, with_phase)
+    expected = energy._forward(v, params)
+    got = energy._forward(v, held)
     energy._free_energy(expected, params)
     energy._free_energy(got, held)
     assert vars(got).keys() == vars(expected).keys()

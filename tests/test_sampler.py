@@ -145,21 +145,23 @@ def test_a_kept_forward_is_a_fresh_forward_of_its_rows(with_phase, step, n):
     # it rejected; every array of it, all that the parameter gradient reads,
     # is what a forward of the final rows computes, bit for bit
     params = init_params(ModelShape(200, 256, 2, 256, 100, 256, 256), 3)
+    if not with_phase:
+        params = params.without_phase()
     v0 = np.random.default_rng(4).standard_normal((32, 200))
-    data = Chain.at(v0, params, with_phase)
+    data = Chain.at(v0, params)
     before = {name: a.copy() for name, a in forward_arrays(data.forward).items()}
     config = HmcConfig(step_size=step, seed=5)
     model, stats = hmc_chain(data, params, config, n, rng=np.random.default_rng(6))
     assert 0 < stats.accepted < stats.proposed
 
-    fresh = energy._forward(model.rows, params, with_phase)
+    fresh = energy._forward(model.rows, params)
     energy._free_energy(fresh, params)
     kept = forward_arrays(model.forward)
     assert kept.keys() == forward_arrays(fresh).keys()
     for name, a in forward_arrays(fresh).items():
         assert np.array_equal(kept[name], a), name
     from_kept = grad.grad_params_from_forward(model.forward, params)
-    from_rows = grad.grad_free_energy_params(model.rows, params, with_phase=with_phase)
+    from_rows = grad.grad_free_energy_params(model.rows, params)
     for name in LEARNABLE_TENSORS:
         assert np.array_equal(from_kept[name], from_rows[name]), name
 
@@ -190,15 +192,16 @@ def test_a_phase_off_chain_casts_no_phase_tensor(monkeypatch, with_phase):
     # copy of the params holds an empty phase family
     seen = []
 
-    def record(v, params32, with_phase=True):
+    def record(v, params32):
         seen.append((params32.Q.shape, params32.R.shape, params32.b_k.shape))
-        return original(v, params32, with_phase=with_phase)
+        return original(v, params32)
 
     original = grad.grad_free_energy_v
     monkeypatch.setattr("mpkrbm.sampler.grad_free_energy_v", record)
     params = random_tiny_params(5)
+    held = params if with_phase else params.without_phase()
     v0 = np.random.default_rng(6).standard_normal((6, 4))
-    hmc_chain(Chain.at(v0, params, with_phase), params, HmcConfig(n_leapfrog=3, seed=7), 2)
+    hmc_chain(Chain.at(v0, held), held, HmcConfig(n_leapfrog=3, seed=7), 2)
     full = (params.Q.shape, params.R.shape, params.b_k.shape)
     assert set(seen) == {full if with_phase else ((2, 2, 0), (0, 0), (0,))}
 

@@ -42,7 +42,7 @@ def identity_sampler(data, params, hmc_config, n_simulations, rng=None, step_siz
     stats = HmcStats(accepted=data.rows.shape[0], proposed=data.rows.shape[0],
                      current_step_size=step_size or 0.01)
     stats.trace.append((stats.current_step_size, 0.0, 0.0))
-    return Chain.at(data.rows.copy(), params, data.forward.with_phase), stats
+    return Chain.at(data.rows.copy(), params), stats
 
 
 def shift_sampler(offset):
@@ -50,7 +50,7 @@ def shift_sampler(offset):
         stats = HmcStats(accepted=data.rows.shape[0], proposed=data.rows.shape[0],
                          current_step_size=step_size or 0.01)
         stats.trace.append((stats.current_step_size, 0.0, 0.0))
-        return Chain.at(data.rows + offset, params, data.forward.with_phase), stats
+        return Chain.at(data.rows + offset, params), stats
     return sampler
 
 
@@ -89,8 +89,12 @@ def test_frozen_p_bit_identical():
     config = TrainerConfig(batch_size=5, seed=0)
     batch = np.random.default_rng(4).standard_normal((5, 4))
     trainable = frozenset({"C", "W", "b_c", "b_m", "b_v"})
-    out, _, _ = cd1_step(batch, params, config, HmcConfig(seed=2), 0.01,
-                         np.random.default_rng(2), trainable=trainable, with_phase=False)
+    out, _, _ = cd1_step(batch, params.without_phase(), config, HmcConfig(seed=2), 0.01,
+                         np.random.default_rng(2), trainable=trainable)
+    assert out.P.tobytes() == params.P.tobytes()
+    # a phase-off stage of `train` steps that model and gives its update to the full params
+    out, _ = train(batch, config, [StageSpec("frozen", 1, trainable, False)],
+                   hmc_config=HmcConfig(seed=2), initial_params=params)
     assert out.P.tobytes() == params.P.tobytes()
     assert out.Q.tobytes() == params.Q.tobytes()
     assert out.R.tobytes() == params.R.tobytes()
@@ -120,13 +124,15 @@ def test_update_equals_lr_times_gradient_difference(monkeypatch):
 @pytest.mark.parametrize("with_phase", [True, False])
 def test_metrics_are_the_free_energies_of_both_batches(with_phase, monkeypatch):
     params, batch = small_setup(13)
+    if not with_phase:
+        params = params.without_phase()
     before = params.copy()
     offset = 0.3
     monkeypatch.setattr(trainer, "hmc_chain", shift_sampler(offset))
     _, _, metrics = cd1_step(batch, params, TrainerConfig(batch_size=6, seed=0), HmcConfig(),
-                             0.01, np.random.default_rng(4), with_phase=with_phase)
-    f_data = np.mean(free_energy(batch, before, with_phase=with_phase))
-    f_model = np.mean(free_energy(batch + offset, before, with_phase=with_phase))
+                             0.01, np.random.default_rng(4))
+    f_data = np.mean(free_energy(batch, before))
+    f_model = np.mean(free_energy(batch + offset, before))
     assert abs(metrics.f_data - f_data) <= 1e-12
     assert abs(metrics.f_model - f_model) <= 1e-12
 
@@ -206,9 +212,13 @@ PAPER_SHAPE = ModelShape(200, 256, 2, 256, 100, 256, 256)
 def test_cd1_step_keeps_its_bits(case):
     step, digest, f_data, f_model, norm_sum, rejected = CD1_REFERENCE[case]
     batch = np.random.default_rng(4).standard_normal((32, 200))
-    out, new_step, metrics = cd1_step(batch, init_params(PAPER_SHAPE, 3),
+    params = init_params(PAPER_SHAPE, 3)
+    out, new_step, metrics = cd1_step(batch,
+                                      params if case == "phase" else params.without_phase(),
                                       TrainerConfig(batch_size=32), HmcConfig(seed=5), step,
-                                      np.random.default_rng(6), with_phase=case == "phase")
+                                      np.random.default_rng(6))
+    # the full params take a phase-off update and keep their phase family (`train`)
+    out = replace(out, Q=params.Q, R=params.R, b_k=params.b_k) if case != "phase" else out
     assert 0 < metrics.rejection_rate < 1
     if (np.__version__, blas.openblas("get_corename", ctypes.c_char_p)) == REFERENCE_PLATFORM:
         summary = (metrics.f_data, metrics.f_model, metrics.rejection_rate, new_step)
@@ -438,7 +448,7 @@ def test_nan_update_aborts_step(monkeypatch):
         stats = HmcStats(accepted=0, proposed=bad.shape[0],
                          current_step_size=step_size or 0.01)
         stats.trace.append((stats.current_step_size, 1.0, np.nan))
-        return Chain.at(bad, params_, data.forward.with_phase), stats
+        return Chain.at(bad, params_), stats
 
     from mpkrbm.errors import NumericError
     monkeypatch.setattr(trainer, "hmc_chain", nan_sampler)
